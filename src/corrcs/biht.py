@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpdn import SolverReport
-from .model import _as_float_matrix, _as_float_vector
+from .model import _as_float_matrix, _as_float_vector, _require_finite
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class BihtProblem:
     def __post_init__(self):
         a = _as_float_matrix(self.system_matrix, "system_matrix")
         signs = _as_float_vector(self.signs, "signs")
+        _require_finite(a, "system_matrix")
         a.setflags(write=False)
         signs.setflags(write=False)
         object.__setattr__(self, "system_matrix", a)

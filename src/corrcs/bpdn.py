@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MeasurementSet, _as_float_matrix, _as_float_vector
+from .model import MeasurementSet, _as_float_matrix, _as_float_vector, _require_finite
 
 _STEP_MIN = 1e-16
 _STEP_MAX = 1e16
@@ -43,6 +43,8 @@ class BpdnProblem:
     def __post_init__(self):
         a = _as_float_matrix(self.system_matrix, "system_matrix")
         y = _as_float_vector(self.observed, "observed")
+        _require_finite(a, "system_matrix")
+        _require_finite(y, "observed")
         a.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "system_matrix", a)
@@ -51,8 +53,8 @@ class BpdnProblem:
             raise ValueError(
                 f"observed length {y.size} does not match matrix rows {a.shape[0]}"
             )
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .experiments import (
     write_results_csv,
     write_sweep_manifest,
 )
+from .model import _require_finite
 from .neldermead import SimplexConfig, minimize
 from .quantizers import (
     design_lloyd_max,
@@ -303,7 +304,10 @@ def _load_vector(path: str) -> np.ndarray:
     v = np.loadtxt(path, delimiter=",", ndmin=1)
     if v.ndim != 1:
         v = v.reshape(-1)
-    return np.asarray(v, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    # biht reads only the signs of y, which would turn a NaN into -1.
+    _require_finite(v, path)
+    return v
 
 
 def _cmd_solve(args) -> int:

@@ -28,7 +28,10 @@ biht         1-bit baseline on sign measurements against unit-norm truth.
 Reproducibility: results are bit-identical for a given config and master
 seed regardless of worker count, because every trial derives its own seed
 streams and aggregation always reduces the trial-ordered array with numpy's
-fixed-shape pairwise summation.
+fixed-shape pairwise summation. They are bit-identical only at the same BLAS
+thread count, though: a threaded matrix-vector product may sum in another
+order, and on the N=1000 grid one thread and two gave different mean NMSEs
+from the same seed. Nothing here pins or records that count.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from .quantizers import (
     design_uniform_mmse,
     gain_model_analytic,
     quantize,
-    quantizer_from_json,
-    quantizer_to_json,
 )
 from .siggen import InstanceConfig, generate_ensemble, generate_signal, purpose_rng
 
@@ -223,7 +224,6 @@ def _design_quantizer(noise_mode: str, bits: int) -> Optional[ScalarQuantizer]:
 class _TrialTask:
     """Self-contained description of one trial (picklable for workers)."""
 
-    point_index: int
     n: int
     m: int
     k: int
@@ -238,7 +238,7 @@ class _TrialTask:
     beta: Optional[float]
     methods: Tuple[str, ...]
     normalize_signals: bool
-    quantizer_json: Optional[str]
+    quantizer: Optional[ScalarQuantizer]
 
 
 def _run_trial(task: _TrialTask) -> Dict[str, Tuple[float, bool]]:
@@ -267,8 +267,7 @@ def _run_trial(task: _TrialTask) -> Dict[str, Tuple[float, bool]]:
         rng = purpose_rng(cfg, "noise")
         y = alpha * ybar + rng.normal(0.0, sigma_w, task.m)
     else:
-        q = quantizer_from_json(task.quantizer_json)
-        y = sigma_t * quantize(q, ybar / sigma_t)
+        y = sigma_t * quantize(task.quantizer, ybar / sigma_t)
 
     sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
     sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
@@ -349,14 +348,12 @@ def run_experiment(
         raise ValueError(f"workers must be >= 1, got {workers}")
     alpha = _default_alpha(config.noise_mode, config.bits, config.alpha)
     quantizer = _design_quantizer(config.noise_mode, config.bits)
-    quantizer_json = None if quantizer is None else quantizer_to_json(quantizer)
 
     tasks: List[_TrialTask] = []
-    for point_index, (n, m, k) in enumerate(config.grid):
+    for n, m, k in config.grid:
         for trial_index in range(config.trials):
             tasks.append(
                 _TrialTask(
-                    point_index=point_index,
                     n=n,
                     m=m,
                     k=k,
@@ -371,7 +368,7 @@ def run_experiment(
                     beta=config.beta,
                     methods=config.methods,
                     normalize_signals=config.normalize_signals,
-                    quantizer_json=quantizer_json,
+                    quantizer=quantizer,
                 )
             )
 
@@ -383,11 +380,8 @@ def run_experiment(
 
     points: List[GridPointResult] = []
     for point_index, point in enumerate(config.grid):
-        rows = [
-            outcomes[i]
-            for i, task in enumerate(tasks)
-            if task.point_index == point_index
-        ]
+        # Tasks are built point-major, so each point owns one contiguous run.
+        rows = outcomes[point_index * config.trials : (point_index + 1) * config.trials]
         for method in config.methods:
             per_trial = np.array([row[method][0] for row in rows])
             nonconverged = sum(1 for row in rows if not row[method][1])
@@ -396,6 +390,56 @@ def run_experiment(
                 _aggregate(point, method, config, per_trial, nonconverged, *override)
             )
     return ExperimentResult(config=config, points=tuple(points))
+
+
+@dataclass(frozen=True)
+class _SweepColumn:
+    """One delta column of the phase sweep (picklable for workers)."""
+
+    delta: float
+    m: int
+    n: int
+    rho_step: float
+    trials: int
+    methods: Tuple[str, ...]
+    nmse_cutoff: float
+    master_seed: int
+    bits: int
+
+
+def _sweep_column(column: _SweepColumn) -> List[GridPointResult]:
+    """Ascend rho in one delta column; a method drops out past the NMSE cutoff.
+
+    rho has to stay sequential here because the cutoff decides which methods
+    the next cell runs; columns are independent of each other.
+    """
+    cells: List[GridPointResult] = []
+    active = list(column.methods)
+    for rho in np.arange(column.rho_step, 1.0 + 1e-12, column.rho_step):
+        if not active:
+            break
+        k = int(round(rho * column.m))
+        if k < 1:
+            continue
+        if k > column.m:
+            break
+        config = ExperimentConfig(
+            grid=((column.n, column.m, k),),
+            trials=column.trials,
+            noise_mode="lloyd-max-quantized",
+            methods=tuple(active),
+            master_seed=column.master_seed,
+            bits=column.bits,
+            normalize_signals=True,
+        )
+        result = run_experiment(
+            config, workers=1, delta_rho=[(column.delta, float(rho))]
+        )
+        for point in result.points:
+            cells.append(point)
+            if point.mean_nmse > column.nmse_cutoff:
+                active.remove(point.method)
+    return cells
 
 
 def run_phase_sweep(
@@ -416,7 +460,12 @@ def run_phase_sweep(
     exceeds nmse_cutoff (reconstruction quality only degrades with rho, so
     nothing of interest lies above). All methods see unit-norm signals;
     bpdn-* methods read 1-bit quantized measurements, biht reads signs.
+
+    workers > 1 runs the delta columns on one process pool, one column per
+    task; cells come back in delta order either way.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 < delta_step <= 1.0 or not 0.0 < rho_step <= 1.0:
         raise ValueError("delta_step and rho_step must be in (0, 1]")
     if not nmse_cutoff > 0.0:
@@ -425,39 +474,30 @@ def run_phase_sweep(
         if method not in ("bpdn-scale", "biht"):
             raise ValueError(f"phase sweep supports bpdn-scale and biht, got {method!r}")
 
-    cells: List[GridPointResult] = []
-    deltas = np.arange(delta_step, 1.0 + 1e-12, delta_step)
-    rhos = np.arange(rho_step, 1.0 + 1e-12, rho_step)
-    for delta in deltas:
+    columns: List[_SweepColumn] = []
+    for delta in np.arange(delta_step, 1.0 + 1e-12, delta_step):
         m = int(round(delta * n))
-        if m < 1 or m > n:
-            continue
-        active = list(methods)
-        for rho in rhos:
-            if not active:
-                break
-            k = int(round(rho * m))
-            if k < 1:
-                continue
-            if k > m:
-                break
-            config = ExperimentConfig(
-                grid=((n, m, k),),
-                trials=trials,
-                noise_mode="lloyd-max-quantized",
-                methods=tuple(active),
-                master_seed=master_seed,
-                bits=bits,
-                normalize_signals=True,
+        if 1 <= m <= n:
+            columns.append(
+                _SweepColumn(
+                    delta=float(delta),
+                    m=m,
+                    n=n,
+                    rho_step=rho_step,
+                    trials=trials,
+                    methods=tuple(methods),
+                    nmse_cutoff=nmse_cutoff,
+                    master_seed=master_seed,
+                    bits=bits,
+                )
             )
-            result = run_experiment(
-                config, workers=workers, delta_rho=[(float(delta), float(rho))]
-            )
-            for point in result.points:
-                cells.append(point)
-                if point.mean_nmse > nmse_cutoff:
-                    active.remove(point.method)
-    return tuple(cells)
+
+    if workers == 1:
+        per_column = [_sweep_column(column) for column in columns]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_column = list(pool.map(_sweep_column, columns, chunksize=1))
+    return tuple(cell for cells in per_column for cell in cells)
 
 
 class TuningObjective:

@@ -27,6 +27,11 @@ def _as_float_matrix(m, name: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
 def _is_identity(psi: np.ndarray) -> bool:
     n = psi.shape[0]
     if psi.shape != (n, n) or np.count_nonzero(psi) != n:

@@ -175,3 +175,15 @@ def test_problem_validation():
         BihtProblem(a, good_signs, k=1, step_size=0.0)
     with pytest.raises(ValueError):
         BihtProblem(a, good_signs, k=1, step_size=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_input(bad):
+    a = np.eye(3)
+    a_bad = a.copy()
+    a_bad[1, 2] = bad
+    good_signs = np.array([1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="system_matrix"):
+        BihtProblem(a_bad, good_signs, k=1)
+    with pytest.raises(ValueError, match="signs"):
+        BihtProblem(a, np.array([1.0, bad, 1.0]), k=1)

@@ -283,6 +283,21 @@ def test_problem_validation():
         BpdnProblem(np.eye(3), np.ones(3), -0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_input(bad):
+    a = np.eye(3)
+    a_bad = a.copy()
+    a_bad[1, 2] = bad
+    y_bad = np.ones(3)
+    y_bad[0] = bad
+    with pytest.raises(ValueError, match="system_matrix"):
+        BpdnProblem(a_bad, np.ones(3), 0.1)
+    with pytest.raises(ValueError, match="observed"):
+        BpdnProblem(a, y_bad, 0.1)
+    with pytest.raises(ValueError, match="epsilon"):
+        BpdnProblem(a, np.ones(3), bad)
+
+
 def test_oracle_epsilons_identities():
     rng = np.random.default_rng(41)
     ybar = rng.normal(size=50)

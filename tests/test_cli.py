@@ -173,6 +173,23 @@ def test_solve_missing_file_exits_one(capsys, tmp_path, solve_files):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize("method", ["bpdn", "biht"])
+def test_solve_non_finite_measurement_exits_one(capsys, tmp_path, solve_files, method):
+    matrix, yfile, _, _ = solve_files
+    y = np.loadtxt(yfile)
+    y[4] = np.nan
+    bad = tmp_path / "nan.csv"
+    np.savetxt(bad, y, fmt="%.17g")
+    out = tmp_path / "x"
+    code, _, stderr = run_cli(
+        capsys, "solve", "--matrix", matrix, "--y", str(bad),
+        "--method", method, "--epsilon", "1.0", "--k", "3", "--out", str(out),
+    )
+    assert code == 1
+    assert "finite" in stderr
+    assert not (tmp_path / "x-solution.csv").exists()
+
+
 def test_solve_infeasible_radius_exits_two(capsys, tmp_path):
     # more measurements than unknowns with a radius far below the attainable
     # least-squares floor: the solver must report failure, not a solution
@@ -305,6 +322,19 @@ def test_phase_sweep_rerun_is_byte_identical(capsys, tmp_path):
         first = open(f"{dirs[0]}/{name}", "rb").read()
         second = open(f"{dirs[1]}/{name}", "rb").read()
         assert first == second
+
+
+def test_phase_sweep_files_do_not_depend_on_worker_count(capsys, tmp_path):
+    dirs = {workers: tmp_path / f"w{workers}" for workers in ("1", "2")}
+    for workers, out in dirs.items():
+        code, _, _ = run_cli(
+            capsys, "phase-sweep", "--n", "16", "--delta-step", "0.25",
+            "--rho-step", "0.25", "--trials", "2", "--seed", "3",
+            "--workers", workers, "--out", str(out),
+        )
+        assert code == 0
+    for name in ("phase-sweep.csv", "phase-sweep-manifest.json"):
+        assert (dirs["1"] / name).read_bytes() == (dirs["2"] / name).read_bytes()
 
 
 def test_phase_sweep_rejects_unknown_method(capsys, tmp_path):

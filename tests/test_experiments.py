@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from corrcs import experiments
 from corrcs.bpdn import epsilon_rule
 from corrcs.experiments import (
     CI99_FACTOR,
@@ -194,6 +195,36 @@ def test_phase_sweep_skips_empty_cells_and_stops_past_cutoff():
                 assert exceeded == [rhos[-1]]
 
 
+# Four delta columns; at this seed the first two stop at the cutoff before
+# rho reaches 1 and the last two run to the top.
+POOLED_SWEEP = dict(delta_step=0.25, rho_step=0.25, trials=2, n=16, master_seed=3)
+
+
+def test_phase_sweep_is_worker_count_invariant():
+    serial = run_phase_sweep(**POOLED_SWEEP, workers=1)
+    pooled = run_phase_sweep(**POOLED_SWEEP, workers=2)
+    assert pooled == serial
+    deltas = sorted({c.delta for c in serial})
+    assert len(deltas) >= 3
+    tops = [max(c.rho for c in serial if c.delta == d) for d in deltas]
+    assert min(tops) < 1.0
+
+
+def test_pooled_phase_sweep_starts_one_pool(monkeypatch):
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    run_phase_sweep(**POOLED_SWEEP, workers=1)
+    assert starts == []
+    run_phase_sweep(**POOLED_SWEEP, workers=2)
+    assert starts == [2]
+
+
 def test_phase_sweep_validation():
     with pytest.raises(ValueError):
         run_phase_sweep(delta_step=0.0)
@@ -203,6 +234,8 @@ def test_phase_sweep_validation():
         run_phase_sweep(nmse_cutoff=0.0)
     with pytest.raises(ValueError):
         run_phase_sweep(methods=("bpdn",))
+    with pytest.raises(ValueError):
+        run_phase_sweep(workers=0)
 
 
 def test_tuning_objective_reference_epsilon():
