@@ -67,6 +67,7 @@ from .experiments import (
     read_results_csv,
     read_sweep_manifest,
     run_experiment,
+    run_experiments,
     run_phase_sweep,
     tuning_objective,
     write_manifest,
@@ -123,6 +124,7 @@ __all__ = [
     "read_results_csv",
     "read_sweep_manifest",
     "run_experiment",
+    "run_experiments",
     "run_phase_sweep",
     "tuning_objective",
     "write_manifest",

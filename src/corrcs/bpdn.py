@@ -207,7 +207,7 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
     g = -(a.T @ r)
     matvecs = 1
     step_max = _STEP_MAX
-    gstep = _init_step(x, g, tau, step_max)
+    gstep, init = _init_step(x, g, tau, step_max, None)
 
     last_fv = np.full(10, -np.inf)
     last_fv[0] = f
@@ -230,7 +230,7 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
     converged = False
     while True:
         rnorm = float(np.linalg.norm(r))
-        gnorm = float(np.max(np.abs(g))) if n > 0 else 0.0
+        gnorm = float(np.max(np.abs(g)))
 
         l1 = float(np.sum(np.abs(x)))
         viol = max(0.0, rnorm - eps_up)
@@ -301,7 +301,7 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
                 last_fv[0] = f
                 f_prev = f
                 step_max = _STEP_MAX
-                gstep = _init_step(x, g, tau, step_max)
+                gstep, init = _init_step(x, g, tau, step_max, init)
                 newton_steps += 1
                 line_errors_left = max_line_errors
                 continue
@@ -357,11 +357,11 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
                 force_tau = True
                 line_errors_left = max_line_errors
                 step_max = _STEP_MAX
-                gstep = _init_step(x, g, tau, step_max)
+                gstep, init = _init_step(x, g, tau, step_max, init)
                 continue
             line_errors_left -= 1
             step_max /= 10.0
-            gstep = _init_step(x, g, tau, step_max)
+            gstep, init = _init_step(x, g, tau, step_max, init)
             continue
 
         x, f, r = xnew, fnew, rnew
@@ -389,12 +389,22 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
     return SolverReport(solution, rnorm, l1, iterations, converged)
 
 
-def _init_step(x, g, tau, step_max):
-    dx = project_l1(x - g, tau) - x
-    dx_norm = float(np.max(np.abs(dx))) if dx.size else 0.0
+def _init_step(x, g, tau, step_max, last):
+    """Step from the projected-gradient displacement, and the (x, tau,
+    ||P(x - g) - x||_inf) it used.
+
+    `last` is what the previous call returned. Its norm is reused while the
+    iterate object and tau are unchanged: the gradient changes only together
+    with the iterate, and failed step attempts and patience resets retry
+    from the same point.
+    """
+    if last is None or last[0] is not x or last[1] != tau:
+        dx = project_l1(x - g, tau) - x
+        last = (x, tau, float(np.max(np.abs(dx))))
+    dx_norm = last[2]
     if dx_norm < 1.0 / step_max:
-        return step_max
-    return min(step_max, max(_STEP_MIN, 1.0 / dx_norm))
+        return step_max, last
+    return min(step_max, max(_STEP_MIN, 1.0 / dx_norm)), last
 
 
 def solve_scaled_matrix(

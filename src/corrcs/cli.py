@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .bpdn import BpdnProblem, SolverReport, epsilon_rule, solve_bpdn, solve_pos
 from .experiments import (
     ExperimentConfig,
     GridPointResult,
-    run_experiment,
+    run_experiments,
     run_phase_sweep,
     tuning_objective,
     write_manifest,
@@ -185,9 +186,8 @@ def _cmd_reproduce(args) -> int:
 
     if figure in _FIGURE_MODES:
         trials = args.trials if args.trials is not None else (1000 if args.scale == "paper" else 50)
-        points: List[GridPointResult] = []
-        for bits in _BENCHMARK_BITS:
-            config = ExperimentConfig(
+        configs = [
+            ExperimentConfig(
                 grid=tuple(_benchmark_points(BENCHMARK_N)),
                 trials=trials,
                 noise_mode=_FIGURE_MODES[figure],
@@ -195,9 +195,13 @@ def _cmd_reproduce(args) -> int:
                 master_seed=args.seed,
                 bits=bits,
             )
-            result = run_experiment(config, workers=workers)
+            for bits in _BENCHMARK_BITS
+        ]
+        points: List[GridPointResult] = []
+        for result in run_experiments(configs, workers=workers):
             write_manifest(
-                os.path.join(args.out, f"{figure}-{bits}bit-manifest.json"), result
+                os.path.join(args.out, f"{figure}-{result.config.bits}bit-manifest.json"),
+                result,
             )
             points.extend(result.points)
         csv_path = os.path.join(args.out, f"{figure}.csv")
@@ -295,16 +299,22 @@ def _tune_point(m, k, n, bits, noise_mode, trials, seed) -> dict:
     }
 
 
+def _load_csv(path: str, ndmin: int) -> np.ndarray:
+    with warnings.catch_warnings():
+        # numpy warns on a file without data; it is rejected below instead
+        warnings.simplefilter("ignore", UserWarning)
+        arr = np.loadtxt(path, delimiter=",", ndmin=ndmin)
+    if arr.size == 0:
+        raise ValueError(f"{path} holds no values")
+    return np.asarray(arr, dtype=np.float64)
+
+
 def _load_matrix(path: str) -> np.ndarray:
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(a, dtype=np.float64)
+    return _load_csv(path, 2)
 
 
 def _load_vector(path: str) -> np.ndarray:
-    v = np.loadtxt(path, delimiter=",", ndmin=1)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    v = np.asarray(v, dtype=np.float64)
+    v = _load_csv(path, 1).reshape(-1)
     # biht reads only the signs of y, which would turn a NaN into -1.
     _require_finite(v, path)
     return v

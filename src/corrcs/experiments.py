@@ -25,6 +25,13 @@ bpdn-scale   l1 recovery with radius from the sigma_r rule (uncorrelated part),
 bpdn-beta    like bpdn-scale but divided by a caller-chosen beta.
 biht         1-bit baseline on sign measurements against unit-norm truth.
 
+Bit depths: the instance of a trial does not depend on the bit depth, so
+run_experiments runs configs that differ only in bits as one pass. A trial
+draws its signal, matrix and noiseless measurements once and then measures
+and solves them at every depth in turn; in artificial-correlated mode the
+noise stream is re-seeded for each depth, so each depth sees the draw it
+would see alone.
+
 Reproducibility: results are bit-identical for a given config and master
 seed regardless of worker count, because every trial derives its own seed
 streams and aggregation always reduces the trial-ordered array with numpy's
@@ -37,9 +44,10 @@ from the same seed. Nothing here pins or records that count.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,10 +206,11 @@ class ExperimentResult:
         raise KeyError(f"no result for (n={n}, m={m}, k={k}, method={method})")
 
 
+@functools.lru_cache(maxsize=None)
 def _default_alpha(noise_mode: str, bits: int, override: Optional[float]) -> float:
     """Correlation gain for the mode: explicit override, else the analytic
     value of the matching minimum-distortion quantizer at this bit depth
-    (artificial mode mimics Lloyd-Max statistics)."""
+    (artificial mode mimics Lloyd-Max statistics). Memoised per process."""
     if override is not None:
         return float(override)
     if noise_mode == "uniform-quantized":
@@ -211,8 +220,13 @@ def _default_alpha(noise_mode: str, bits: int, override: Optional[float]) -> flo
     return gain_model_analytic(q, 1.0).alpha
 
 
+@functools.lru_cache(maxsize=None)
 def _design_quantizer(noise_mode: str, bits: int) -> Optional[ScalarQuantizer]:
-    """Unit-sigma quantizer reused across all trials (gain control rescales)."""
+    """Unit-sigma quantizer reused across all trials (gain control rescales).
+
+    Memoised per process; the quantizer is frozen with read-only arrays, so
+    every caller can share one instance.
+    """
     if noise_mode == "lloyd-max-quantized":
         return design_lloyd_max(bits, 1.0)
     if noise_mode == "uniform-quantized":
@@ -222,7 +236,11 @@ def _design_quantizer(noise_mode: str, bits: int) -> Optional[ScalarQuantizer]:
 
 @dataclass(frozen=True)
 class _TrialTask:
-    """Self-contained description of one trial (picklable for workers)."""
+    """Self-contained description of one trial (picklable for workers).
+
+    depths holds one (alpha, quantizer) pair per bit depth; the trial draws
+    its instance once and measures and solves it at every depth in order.
+    """
 
     n: int
     m: int
@@ -230,19 +248,17 @@ class _TrialTask:
     trial_index: int
     master_seed: int
     noise_mode: str
-    bits: int
-    alpha: float
+    depths: Tuple[Tuple[float, Optional[ScalarQuantizer]], ...]
     sigma_w_sq: Optional[float]
     epsilon_mode: str
     explicit_epsilon: Optional[float]
     beta: Optional[float]
     methods: Tuple[str, ...]
     normalize_signals: bool
-    quantizer: Optional[ScalarQuantizer]
 
 
-def _run_trial(task: _TrialTask) -> Dict[str, Tuple[float, bool]]:
-    """Execute one trial; returns method -> (nmse, converged)."""
+def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
+    """Execute one trial; returns, per depth, method -> (nmse, converged)."""
     cfg = InstanceConfig(
         n=task.n,
         m=task.m,
@@ -257,45 +273,47 @@ def _run_trial(task: _TrialTask) -> Dict[str, Tuple[float, bool]]:
     signal_energy = float(x.values @ x.values)
     sigma_t_sq = signal_energy / task.m
     sigma_t = float(np.sqrt(sigma_t_sq))
-
-    alpha = task.alpha
-    if task.noise_mode == "artificial-correlated":
-        if task.sigma_w_sq is None:
-            sigma_w = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
+    outcomes: List[Dict[str, Tuple[float, bool]]] = []
+    for alpha, quantizer in task.depths:
+        if task.noise_mode == "artificial-correlated":
+            if task.sigma_w_sq is None:
+                sigma_w = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
+            else:
+                sigma_w = float(np.sqrt(task.sigma_w_sq * sigma_t_sq))
+            # a fresh stream per depth: every depth sees the same white draw
+            rng = purpose_rng(cfg, "noise")
+            y = alpha * ybar + rng.normal(0.0, sigma_w, task.m)
         else:
-            sigma_w = float(np.sqrt(task.sigma_w_sq * sigma_t_sq))
-        rng = purpose_rng(cfg, "noise")
-        y = alpha * ybar + rng.normal(0.0, sigma_w, task.m)
-    else:
-        y = sigma_t * quantize(task.quantizer, ybar / sigma_t)
+            y = sigma_t * quantize(quantizer, ybar / sigma_t)
 
-    sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
-    sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
-    if task.epsilon_mode == "explicit":
-        # The explicit radius is interpreted at the ensemble reference scale
-        # sqrt(K/M) and follows the per-trial gain like everything else.
-        scale = sigma_t / float(np.sqrt(task.k / task.m))
-        eps_bpdn = eps_scaled = float(task.explicit_epsilon) * scale
-    else:
-        eps_bpdn = epsilon_rule(task.m, sigma_q)
-        eps_scaled = epsilon_rule(task.m, sigma_r)
+        sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
+        sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
+        if task.epsilon_mode == "explicit":
+            # The explicit radius is interpreted at the ensemble reference
+            # scale sqrt(K/M) and follows the per-trial gain like everything else.
+            scale = sigma_t / float(np.sqrt(task.k / task.m))
+            eps_bpdn = eps_scaled = float(task.explicit_epsilon) * scale
+        else:
+            eps_bpdn = epsilon_rule(task.m, sigma_q)
+            eps_scaled = epsilon_rule(task.m, sigma_r)
 
-    out: Dict[str, Tuple[float, bool]] = {}
-    for method in task.methods:
-        if method == "biht":
-            signs = sign_with_positive_zero(ybar)
-            report = solve_biht(BihtProblem(a, signs, k=task.k))
-            truth = x.values / float(np.linalg.norm(x.values))
-            out[method] = (nmse(report.solution, truth), report.converged)
-            continue
-        if method == "bpdn":
-            report = solve_bpdn(BpdnProblem(a, y, eps_bpdn))
-        elif method == "bpdn-scale":
-            report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), alpha)
-        else:  # bpdn-beta
-            report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), task.beta)
-        out[method] = (nmse(report.solution, x.values), report.converged)
-    return out
+        out: Dict[str, Tuple[float, bool]] = {}
+        for method in task.methods:
+            if method == "biht":
+                signs = sign_with_positive_zero(ybar)
+                report = solve_biht(BihtProblem(a, signs, k=task.k))
+                truth = x.values / float(np.linalg.norm(x.values))
+                out[method] = (nmse(report.solution, truth), report.converged)
+                continue
+            if method == "bpdn":
+                report = solve_bpdn(BpdnProblem(a, y, eps_bpdn))
+            elif method == "bpdn-scale":
+                report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), alpha)
+            else:  # bpdn-beta
+                report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), task.beta)
+            out[method] = (nmse(report.solution, x.values), report.converged)
+        outcomes.append(out)
+    return outcomes
 
 
 def _aggregate(
@@ -344,31 +362,56 @@ def run_experiment(
     optionally overrides the recorded (delta, rho) per grid point (used by
     the phase sweep, where they are the swept coordinates).
     """
+    return run_experiments([config], workers=workers, delta_rho=delta_rho)[0]
+
+
+def run_experiments(
+    configs: Sequence[ExperimentConfig],
+    workers: int = 1,
+    delta_rho: Optional[Sequence[Tuple[float, float]]] = None,
+) -> List[ExperimentResult]:
+    """Run configs that differ only in bits as one pass; one result per config.
+
+    Each (grid point, trial) is one task that draws its instance once and
+    measures and solves it at every config's bit depth, in config order; the
+    instance streams do not depend on the bit depth, so every result equals
+    what run_experiment gives for that config alone. workers > 1 runs the
+    tasks on one process pool. delta_rho is as for run_experiment.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    alpha = _default_alpha(config.noise_mode, config.bits, config.alpha)
-    quantizer = _design_quantizer(config.noise_mode, config.bits)
+    if not configs:
+        raise ValueError("configs must contain at least one ExperimentConfig")
+    first = configs[0]
+    for config in configs[1:]:
+        if replace(config, bits=first.bits) != first:
+            raise ValueError("configs passed together may differ only in bits")
+    depths = tuple(
+        (
+            _default_alpha(config.noise_mode, config.bits, config.alpha),
+            _design_quantizer(config.noise_mode, config.bits),
+        )
+        for config in configs
+    )
 
     tasks: List[_TrialTask] = []
-    for n, m, k in config.grid:
-        for trial_index in range(config.trials):
+    for n, m, k in first.grid:
+        for trial_index in range(first.trials):
             tasks.append(
                 _TrialTask(
                     n=n,
                     m=m,
                     k=k,
                     trial_index=trial_index,
-                    master_seed=config.master_seed,
-                    noise_mode=config.noise_mode,
-                    bits=config.bits,
-                    alpha=alpha,
-                    sigma_w_sq=config.sigma_w_sq,
-                    epsilon_mode=config.epsilon_mode,
-                    explicit_epsilon=config.explicit_epsilon,
-                    beta=config.beta,
-                    methods=config.methods,
-                    normalize_signals=config.normalize_signals,
-                    quantizer=quantizer,
+                    master_seed=first.master_seed,
+                    noise_mode=first.noise_mode,
+                    depths=depths,
+                    sigma_w_sq=first.sigma_w_sq,
+                    epsilon_mode=first.epsilon_mode,
+                    explicit_epsilon=first.explicit_epsilon,
+                    beta=first.beta,
+                    methods=first.methods,
+                    normalize_signals=first.normalize_signals,
                 )
             )
 
@@ -378,18 +421,26 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=8))
 
-    points: List[GridPointResult] = []
-    for point_index, point in enumerate(config.grid):
-        # Tasks are built point-major, so each point owns one contiguous run.
-        rows = outcomes[point_index * config.trials : (point_index + 1) * config.trials]
-        for method in config.methods:
-            per_trial = np.array([row[method][0] for row in rows])
-            nonconverged = sum(1 for row in rows if not row[method][1])
-            override = delta_rho[point_index] if delta_rho is not None else (None, None)
-            points.append(
-                _aggregate(point, method, config, per_trial, nonconverged, *override)
-            )
-    return ExperimentResult(config=config, points=tuple(points))
+    results: List[ExperimentResult] = []
+    for depth, config in enumerate(configs):
+        points: List[GridPointResult] = []
+        for point_index, point in enumerate(config.grid):
+            # Tasks are built point-major, so each point owns one contiguous run.
+            rows = [
+                outcome[depth]
+                for outcome in outcomes[
+                    point_index * config.trials : (point_index + 1) * config.trials
+                ]
+            ]
+            for method in config.methods:
+                per_trial = np.array([row[method][0] for row in rows])
+                nonconverged = sum(1 for row in rows if not row[method][1])
+                override = delta_rho[point_index] if delta_rho is not None else (None, None)
+                points.append(
+                    _aggregate(point, method, config, per_trial, nonconverged, *override)
+                )
+        results.append(ExperimentResult(config=config, points=tuple(points)))
+    return results
 
 
 @dataclass(frozen=True)

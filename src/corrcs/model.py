@@ -22,8 +22,10 @@ def _as_float_vector(v, name: str) -> np.ndarray:
 
 def _as_float_matrix(m, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D real matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(
+            f"{name} must be a non-empty 2-D real matrix, got shape {arr.shape}"
+        )
     return arr
 
 

@@ -26,6 +26,7 @@ from corrcs.experiments import (
     improvement_db,
     nmse,
     run_experiment,
+    run_experiments,
     tuning_objective,
 )
 from corrcs.model import NoiseSpec, correlated_noise_variance
@@ -53,20 +54,22 @@ GRID = tuple((1000, m, k) for m, k in benchmark_grid())
 
 @pytest.fixture(scope="module")
 def artificial_runs():
-    """Full-grid runs with Gaussian correlated noise at 1, 3, and 5 bits."""
-    return {
-        bits: run_experiment(
-            ExperimentConfig(
-                grid=GRID,
-                trials=TRIALS,
-                noise_mode="artificial-correlated",
-                methods=("bpdn", "bpdn-scale"),
-                master_seed=MASTER_SEED,
-                bits=bits,
-            )
+    """Full-grid runs with Gaussian correlated noise at 1, 3, and 5 bits.
+
+    One pass draws each instance once and measures it at all three depths.
+    """
+    configs = [
+        ExperimentConfig(
+            grid=GRID,
+            trials=TRIALS,
+            noise_mode="artificial-correlated",
+            methods=("bpdn", "bpdn-scale"),
+            master_seed=MASTER_SEED,
+            bits=bits,
         )
         for bits in (1, 3, 5)
-    }
+    ]
+    return {result.config.bits: result for result in run_experiments(configs)}
 
 
 @pytest.fixture(scope="module")

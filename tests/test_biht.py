@@ -187,3 +187,10 @@ def test_problem_rejects_non_finite_input(bad):
         BihtProblem(a_bad, good_signs, k=1)
     with pytest.raises(ValueError, match="signs"):
         BihtProblem(a, np.array([1.0, bad, 1.0]), k=1)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_problem_rejects_empty_shapes(shape):
+    with pytest.raises(ValueError, match="non-empty"):
+        BihtProblem(np.zeros(shape), np.ones(shape[0]), k=1)
+

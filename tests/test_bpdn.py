@@ -1,5 +1,7 @@
 """l1 recovery solver: fidelity rule, projection, recovery, and scaled variants."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,29 @@ def test_failed_line_search_is_not_rerun_on_identical_inputs(monkeypatch):
     assert all(left != right for left, right in zip(failed, failed[1:]))
 
 
+def test_init_step_projection_is_not_recomputed_on_identical_inputs(monkeypatch):
+    # Failed step attempts and patience resets re-initialise the step from
+    # the same iterate and tau; the projection of x - g is the same each time.
+    calls = []
+    original = bpdn.project_l1
+
+    def recording(v, radius):
+        if sys._getframe(1).f_code.co_name == "_init_step":
+            calls[-1].append((v.tobytes(), radius))
+        return original(v, radius)
+
+    monkeypatch.setattr(bpdn, "project_l1", recording)
+    rng = np.random.default_rng(11)
+    for trial in range(5):
+        calls.append([])
+        a, x, y = sparse_instance(rng, n=120, m=40, k=6, noise_scale=0.05)
+        eps = 0.5 * float(np.linalg.norm(y - a @ x))
+        assert solve_bpdn(BpdnProblem(a, y, eps)).converged
+    assert sum(map(len, calls)) > len(calls)
+    for solve in calls:
+        assert len(set(solve)) == len(solve)
+
+
 def test_matches_convex_reference_solver():
     cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(17)
@@ -296,6 +321,12 @@ def test_problem_rejects_non_finite_input(bad):
         BpdnProblem(a, y_bad, 0.1)
     with pytest.raises(ValueError, match="epsilon"):
         BpdnProblem(a, np.ones(3), bad)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_problem_rejects_empty_shapes(shape):
+    with pytest.raises(ValueError, match="non-empty"):
+        BpdnProblem(np.zeros(shape), np.zeros(shape[0]), 0.1)
 
 
 def test_oracle_epsilons_identities():

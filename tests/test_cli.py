@@ -190,6 +190,20 @@ def test_solve_non_finite_measurement_exits_one(capsys, tmp_path, solve_files, m
     assert not (tmp_path / "x-solution.csv").exists()
 
 
+def test_solve_empty_measurement_exits_one(capsys, tmp_path, solve_files):
+    matrix, _, _, _ = solve_files
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "x"
+    code, _, stderr = run_cli(
+        capsys, "solve", "--matrix", matrix, "--y", str(empty),
+        "--method", "bpdn", "--epsilon", "1.0", "--out", str(out),
+    )
+    assert code == 1
+    assert "no values" in stderr
+    assert not (tmp_path / "x-solution.csv").exists()
+
+
 def test_solve_infeasible_radius_exits_two(capsys, tmp_path):
     # more measurements than unknowns with a radius far below the attainable
     # least-squares floor: the solver must report failure, not a solution

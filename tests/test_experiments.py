@@ -17,6 +17,7 @@ from corrcs.experiments import (
     read_results_csv,
     read_sweep_manifest,
     run_experiment,
+    run_experiments,
     run_phase_sweep,
     tuning_objective,
     write_manifest,
@@ -222,6 +223,89 @@ def test_pooled_phase_sweep_starts_one_pool(monkeypatch):
     run_phase_sweep(**POOLED_SWEEP, workers=1)
     assert starts == []
     run_phase_sweep(**POOLED_SWEEP, workers=2)
+    assert starts == [2]
+
+
+def test_phase_sweep_designs_each_quantizer_once(monkeypatch):
+    # Every cell of a sweep uses the same 1-bit Lloyd-Max quantizer and gain.
+    calls = []
+    original = experiments.design_lloyd_max
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "design_lloyd_max", counting)
+    experiments._default_alpha.cache_clear()
+    experiments._design_quantizer.cache_clear()
+    cells = run_phase_sweep(**POOLED_SWEEP, workers=1)
+    assert len({c.delta for c in cells}) >= 3
+    assert len({(c.delta, c.rho) for c in cells}) > 2
+    assert len(calls) <= 2, calls
+
+
+# Configs of one grid figure: the same instances at three bit depths.
+DEPTHS_GRID = dict(
+    grid=((64, 32, 3), (64, 48, 6)),
+    trials=3,
+    methods=("bpdn", "bpdn-scale"),
+    master_seed=23,
+    retain_trials=True,
+)
+
+
+def _depth_configs(noise_mode):
+    return [
+        ExperimentConfig(**DEPTHS_GRID, noise_mode=noise_mode, bits=bits)
+        for bits in (1, 3, 5)
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "noise_mode",
+    ["lloyd-max-quantized", "uniform-quantized", "artificial-correlated"],
+)
+def test_run_experiments_equals_one_run_per_config(noise_mode, workers):
+    configs = _depth_configs(noise_mode)
+    joint = run_experiments(configs, workers=workers)
+    separate = [run_experiment(config) for config in configs]
+    assert joint == separate
+    # the depths measure the same instances differently
+    assert len({r.points[0].mean_nmse for r in joint}) == len(configs)
+
+
+def test_run_experiments_rejects_mismatched_configs():
+    configs = _depth_configs("lloyd-max-quantized")
+    with pytest.raises(ValueError):
+        run_experiments([])
+    for change in (
+        {"master_seed": 24},
+        {"trials": 2},
+        {"grid": ((64, 32, 3),)},
+        {"noise_mode": "uniform-quantized"},
+        {"methods": ("bpdn",)},
+        {"retain_trials": False},
+    ):
+        with pytest.raises(ValueError):
+            run_experiments([configs[0], dataclasses.replace(configs[1], **change)])
+    with pytest.raises(ValueError):
+        run_experiments(configs, workers=0)
+
+
+def test_pooled_grid_run_starts_one_pool(monkeypatch):
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    configs = _depth_configs("artificial-correlated")
+    run_experiments(configs, workers=1)
+    assert starts == []
+    run_experiments(configs, workers=2)
     assert starts == [2]
 
 
