@@ -67,10 +67,16 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
         return np.zeros_like(v)
     if k == v.size:
         return v.copy()
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
-    out = np.zeros_like(v)
-    out[keep] = v[keep]
-    return out
+    mag = np.abs(v)
+    kth = np.partition(mag, v.size - k)[v.size - k]  # the k-th largest magnitude
+    keep = mag >= kth
+    if np.count_nonzero(keep) > k:
+        # more than k entries reach it: keep those above it and, among those
+        # equal to it, the lowest indices
+        keep = mag > kth
+        ties = np.flatnonzero(mag == kth)
+        keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.where(keep, v, 0.0)
 
 
 def solve_biht(problem: BihtProblem) -> SolverReport:

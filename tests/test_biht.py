@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corrcs.biht import (
     BihtProblem,
@@ -42,6 +45,34 @@ def test_hard_threshold_k_full_is_identity_copy():
 def test_hard_threshold_ties_keep_lowest_index():
     out = hard_threshold(np.array([1.0, -1.0, 1.0]), 2)
     assert out.tolist() == [1.0, -1.0, 0.0]
+
+
+def hard_threshold_by_stable_sort(v, k):
+    """Keep the first k entries of a stable descending-magnitude sort."""
+    keep = np.argsort(-np.abs(v), kind="stable")[:k]
+    out = np.zeros_like(v)
+    out[keep] = v[keep]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 300),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+            st.floats(-1e6, 1e6, allow_subnormal=True),
+        ),
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_hard_threshold_matches_stable_sort_on_ties(v, fraction):
+    k = int(round(fraction * v.size))
+    expected = hard_threshold_by_stable_sort(v, k)
+    got = hard_threshold(v, k)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_hard_threshold_rejects_bad_k():

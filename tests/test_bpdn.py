@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcs import bpdn
 from corrcs.bpdn import (
@@ -114,6 +116,91 @@ def test_project_l1_radius_below_float_spacing():
     assert p[1] == 0.0 and p[2] == 0.0
 
 
+def project_l1_by_full_sort(v, radius):
+    """The sort-based projection as first written; project_l1 must match its bits."""
+    if radius <= 0.0:
+        return np.zeros_like(v)
+    mag = np.abs(v)
+    if mag.sum() <= radius:
+        return v.copy()
+    u = np.sort(mag)[::-1]
+    cum = np.cumsum(u)
+    active = np.nonzero(u * np.arange(1, v.size + 1) > cum - radius)[0]
+    rho = active[-1] if active.size else 0
+    shift = (cum[rho] - radius) / (rho + 1.0)
+    return np.sign(v) * np.maximum(mag - shift, 0.0)
+
+
+@st.composite
+def projection_inputs(draw):
+    """(v, radius) with ties, zeros, subnormal and huge magnitudes, and radii
+    from below the spacing of max|v| up to past the l1 norm."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(480, 1100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "sparse", "spread", "tiny"]))
+    if kind == "ties":
+        v = rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "sparse":
+        v = rng.normal(size=n) * (rng.random(n) < 0.05)
+    elif kind == "spread":
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+    elif kind == "tiny":
+        v = rng.normal(size=n) * 5e-324 * rng.integers(0, 1000, size=n)
+    else:
+        v = rng.normal(size=n)
+    v[rng.random(n) < 0.1] = -0.0
+    mag = np.abs(v)
+    top = float(mag.max())
+    radius = draw(
+        st.one_of(
+            st.floats(0.0, 1.0).map(lambda t: t * float(mag.sum())),
+            st.floats(0.0, 1.0).map(lambda t: t * float(np.spacing(top))),
+            st.floats(-1.0, 1.0).map(lambda t: t * top),
+            st.sampled_from([5e-324, 1e-300, 1e-12, 1.0]),
+        )
+    )
+    return v, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_inputs())
+def test_project_l1_matches_full_sort_bit_for_bit(inputs):
+    v, radius = inputs
+    expected = project_l1_by_full_sort(v, radius)
+    got = project_l1(v, radius)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.booleans(),
+)
+def test_project_l1_kkt_conditions(n, seed, fraction, ties):
+    # p is the projection of v onto the ball iff it lies on the sphere and is
+    # the soft threshold of v at one shift theta >= 0 that zeroes exactly the
+    # entries with |v_i| <= theta.
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-3, 4, size=n).astype(float) if ties else rng.normal(size=n)
+    l1 = float(np.abs(v).sum())
+    if l1 == 0.0:
+        return
+    radius = fraction * l1
+    p = project_l1(v, radius)
+    tol = 8.0 * n * np.finfo(float).eps * l1
+    assert abs(float(np.abs(p).sum()) - radius) <= tol
+    active = p != 0.0
+    assert active.any()
+    assert np.all(np.sign(p[active]) == np.sign(v[active]))
+    theta = float(np.mean(np.abs(v[active]) - np.abs(p[active])))
+    assert theta >= -tol
+    assert np.allclose(p, np.sign(v) * np.maximum(np.abs(v) - theta, 0.0), rtol=0.0, atol=tol)
+    assert np.all(np.abs(v[~active]) <= theta + tol)
+
+
 def test_zero_solution_when_radius_covers_observation():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(5, 12))
@@ -209,6 +296,41 @@ def test_init_step_projection_is_not_recomputed_on_identical_inputs(monkeypatch)
     assert sum(map(len, calls)) > len(calls)
     for solve in calls:
         assert len(set(solve)) == len(solve)
+
+
+def test_step_attempt_never_projects_the_same_input_twice(monkeypatch):
+    # When the curvy search fails, the feasible search takes its direction
+    # from P(x - gstep * g): the curvy search's own first trial point.
+    attempts = []
+    feasible_calls = []
+    original_project = bpdn.project_l1
+    original_curvy = bpdn._line_curvy
+    original_feasible = bpdn._line_feasible
+
+    def project(v, radius):
+        if attempts and sys._getframe(1).f_code.co_name != "_init_step":
+            attempts[-1].append((v.tobytes(), radius))
+        return original_project(v, radius)
+
+    def curvy(*args):
+        attempts.append([])
+        return original_curvy(*args)
+
+    def feasible(*args):
+        feasible_calls.append(None)
+        return original_feasible(*args)
+
+    monkeypatch.setattr(bpdn, "project_l1", project)
+    monkeypatch.setattr(bpdn, "_line_curvy", curvy)
+    monkeypatch.setattr(bpdn, "_line_feasible", feasible)
+    rng = np.random.default_rng(11)
+    for trial in range(5):
+        a, x, y = sparse_instance(rng, n=120, m=40, k=6, noise_scale=0.05)
+        eps = 0.5 * float(np.linalg.norm(y - a @ x))
+        assert solve_bpdn(BpdnProblem(a, y, eps)).converged
+    assert feasible_calls, "the instances must exercise the feasible search"
+    for attempt in attempts:
+        assert len(set(attempt)) == len(attempt)
 
 
 def test_matches_convex_reference_solver():
