@@ -58,7 +58,8 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of v, zero the rest.
 
     Ties are broken by keeping the lowest index (stable order on equal
-    magnitudes).
+    magnitudes). v is expected to be finite, as solve_biht's iterates are;
+    which entries a NaN leaves is unspecified.
     """
     v = _as_float_vector(v, "v")
     if not 0 <= k <= v.size:

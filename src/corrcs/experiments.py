@@ -513,7 +513,7 @@ def run_phase_sweep(
     bpdn-* methods read 1-bit quantized measurements, biht reads signs.
 
     workers > 1 runs the delta columns on one process pool, one column per
-    task, largest delta first; cells come back in delta order either way.
+    task; cells come back in delta order either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -546,10 +546,8 @@ def run_phase_sweep(
     if workers == 1:
         per_column = [_sweep_column(column) for column in columns]
     else:
-        # the largest-delta columns hold the most and the largest solves;
-        # starting them first lets the short ones fill in behind them
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_column = list(pool.map(_sweep_column, columns[::-1], chunksize=1))[::-1]
+            per_column = list(pool.map(_sweep_column, columns, chunksize=1))
     return tuple(cell for cells in per_column for cell in cells)
 
 
