@@ -4,15 +4,16 @@
 
 Both sides are exported with `git archive` (the change defaults to HEAD, so
 commit first) into one temporary directory, and each pair runs the
-benchmark command of BENCHMARK.json (`python3 perfbench/run.py ... --trace 0`)
-once in each tree on the same seed, alternating which side runs first. The
-output file at the repository root keeps the environment block, both
-commits, every pair's end-to-end metrics, each side's median and quartiles
-per metric, and how many pairs the change won. A gain is claimed only when
-the change wins at least 9 in 10 pairs and the medians differ by more than
-the parent's interquartile distance (`claim_met`). Running the script again
-with the same label adds its workloads to the file, replacing an earlier
-run of the same workload and seeds.
+benchmark command of BENCHMARK.json (`python3 perfbench/run.py ... --trace 0`,
+for its `run_seconds`) once in each tree on the same seed, alternating which
+side runs first. The output file at the repository root keeps the
+environment block, both commits, every pair's end-to-end metrics, each
+side's median and quartiles per metric, and how many pairs the change won.
+A gain is claimed only when the change wins at least 9 in 10 pairs and the
+medians differ by more than the parent's interquartile distance
+(`claim_met`). Running the script again with the same label adds its
+workloads to the file, replacing an earlier run of the same workload and
+seeds.
 
 Run one benchmark at a time on a small machine: two at once measure the
 scheduler. Uses the standard library only.
@@ -55,7 +56,6 @@ def parse_args(argv, benchmark):
         choices=[w["name"] for w in benchmark["workloads"]],
     )
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 0-9 or 0,3,41")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     return parser.parse_args(argv)
 
 
@@ -134,6 +134,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     args = parse_args(argv, benchmark)
+    seconds = benchmark["run_seconds"]
     commits = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     record = {"label": args.label, "runs": []}
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(
-                        benchmark["command"], trees[side], workload, seed, args.seconds
+                        benchmark["command"], trees[side], workload, seed, seconds
                     )
                 env = pair["base"].pop("env", None)
                 pair["change"].pop("env", None)
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
             run = {
                 "workload": workload,
                 "seeds": args.seeds,
-                "seconds": args.seconds,
+                "seconds": seconds,
                 "commits": commits,
                 "pairs": pairs,
                 "summary": summarize(pairs, benchmark["end_to_end"]),
