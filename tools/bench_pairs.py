@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written to BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --label pr7 --base HEAD~1 --workload fig5-phase --seeds 0-9
+    python3 tools/bench_pairs.py --label NAME --base HEAD~1 --workload fig5-phase --seeds 0-9
 
 Both sides are exported with `git archive` (the change defaults to HEAD, so
 commit first) into one temporary directory, and each pair runs the
