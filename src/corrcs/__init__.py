@@ -16,13 +16,10 @@ reproduces the published benchmark numbers.
 __version__ = "0.1.0"
 
 from .model import (
-    MeasurementSet,
     NoiseSpec,
     SensingEnsemble,
     SparseSignal,
-    apply_correlated_noise,
     correlated_noise_variance,
-    measure_noiseless,
 )
 from .siggen import (
     BENCHMARK_N,
@@ -48,7 +45,6 @@ from .bpdn import (
     BpdnProblem,
     SolverReport,
     epsilon_rule,
-    oracle_epsilons,
     project_l1,
     solve_bpdn,
     solve_post_scaled,
@@ -77,13 +73,10 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "MeasurementSet",
     "NoiseSpec",
     "SensingEnsemble",
     "SparseSignal",
-    "apply_correlated_noise",
     "correlated_noise_variance",
-    "measure_noiseless",
     "BENCHMARK_N",
     "InstanceConfig",
     "benchmark_grid",
@@ -103,7 +96,6 @@ __all__ = [
     "BpdnProblem",
     "SolverReport",
     "epsilon_rule",
-    "oracle_epsilons",
     "project_l1",
     "solve_bpdn",
     "solve_post_scaled",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MeasurementSet, _as_float_matrix, _as_float_vector, _require_finite
+from .model import _as_float_matrix, _as_float_vector, _require_finite
 
 _STEP_MIN = 1e-16
 _STEP_MAX = 1e16
@@ -476,22 +476,3 @@ def solve_post_scaled(
         iterations=inner.iterations,
         converged=inner.converged,
     )
-
-
-def oracle_epsilons(measurements: MeasurementSet, alpha: float | None = None) -> dict:
-    """Diagnostic fidelity radii available only with the noiseless vector retained.
-
-    Returns {"total": ||y - ybar||_2, "uncorrelated": ||y - alpha*ybar||_2};
-    the second entry requires alpha. These are idealized choices for study,
-    not usable rules (they peek at the ground truth).
-    """
-    if measurements.noiseless is None:
-        raise ValueError("noiseless measurements were not retained")
-    y = measurements.observed
-    ybar = measurements.noiseless
-    out = {"total": float(np.linalg.norm(y - ybar))}
-    if alpha is not None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        out["uncorrelated"] = float(np.linalg.norm(y - alpha * ybar))
-    return out

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .biht import BihtProblem, solve_biht
+from .biht import BihtProblem, sign_with_positive_zero, solve_biht
 from .bpdn import BpdnProblem, SolverReport, epsilon_rule, solve_bpdn, solve_post_scaled
 from .experiments import (
     ExperimentConfig,
@@ -331,7 +331,7 @@ def _cmd_solve(args) -> int:
     if args.method == "biht":
         if args.k is None:
             raise ValueError("--k is required for method biht")
-        signs = np.where(y >= 0.0, 1.0, -1.0)
+        signs = sign_with_positive_zero(y)
         report = solve_biht(BihtProblem(a, signs, k=args.k))
         extra = {"k": args.k}
     else:

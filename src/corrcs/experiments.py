@@ -25,12 +25,17 @@ bpdn-scale   l1 recovery with radius from the sigma_r rule (uncorrelated part),
 bpdn-beta    like bpdn-scale but divided by a caller-chosen beta.
 biht         1-bit baseline on sign measurements against unit-norm truth.
 
+Instances: draw_instance draws a trial's signal, matrix, noiseless
+measurements and sigma_t^2, and measure turns them into y at one bit depth.
+Grid trials and the tuner's cached trials both go through these two
+functions, so at the same point, seed and radius the tuner solves exactly
+the problems the grid solves.
+
 Bit depths: the instance of a trial does not depend on the bit depth, so
 run_experiments runs configs that differ only in bits as one pass. A trial
-draws its signal, matrix and noiseless measurements once and then measures
-and solves them at every depth in turn; in artificial-correlated mode the
-noise stream is re-seeded for each depth, so each depth sees the draw it
-would see alone.
+draws its instance once and then measures and solves it at every depth in
+turn; in artificial-correlated mode the noise stream is re-seeded for each
+depth, so each depth sees the draw it would see alone.
 
 Reproducibility: results are bit-identical for a given config and master
 seed regardless of worker count, because every trial derives its own seed
@@ -238,8 +243,9 @@ def _design_quantizer(noise_mode: str, bits: int) -> Optional[ScalarQuantizer]:
 class _TrialTask:
     """Self-contained description of one trial (picklable for workers).
 
-    depths holds one (alpha, quantizer) pair per bit depth; the trial draws
-    its instance once and measures and solves it at every depth in order.
+    depths holds one (alpha, quantizer) pair per bit depth, the quantizer
+    None in artificial-correlated mode; the trial draws its instance once and
+    measures and solves it at every depth in order.
     """
 
     n: int
@@ -247,7 +253,6 @@ class _TrialTask:
     k: int
     trial_index: int
     master_seed: int
-    noise_mode: str
     depths: Tuple[Tuple[float, Optional[ScalarQuantizer]], ...]
     sigma_w_sq: Optional[float]
     epsilon_mode: str
@@ -255,6 +260,45 @@ class _TrialTask:
     beta: Optional[float]
     methods: Tuple[str, ...]
     normalize_signals: bool
+
+
+def draw_instance(
+    cfg: InstanceConfig, normalize: bool = False
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Draw one trial's instance: (x, A, ybar = A x, sigma_t^2 = x.x / M).
+
+    The signal stream is drawn before the matrix stream; both are keyed by
+    (master_seed, trial_index), so the draw does not depend on the bit depth,
+    the noise mode or the caller.
+    """
+    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize).values
+    a = generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
+    return x, a, a @ x, float(x @ x) / cfg.m
+
+
+def measure(
+    cfg: InstanceConfig,
+    ybar: np.ndarray,
+    sigma_t_sq: float,
+    alpha: float,
+    quantizer: Optional[ScalarQuantizer],
+    sigma_w_sq: Optional[float] = None,
+) -> np.ndarray:
+    """Measurements y of a drawn instance at one bit depth.
+
+    Without a quantizer (artificial-correlated mode) y = alpha*ybar + w, with
+    w white of variance alpha*(1-alpha)*sigma_t^2, or sigma_w_sq*sigma_t^2
+    when given, drawn from a freshly seeded noise stream, so every depth of a
+    trial sees the same white draw. With one, y = sigma_t * Q(ybar / sigma_t).
+    """
+    if quantizer is None:
+        if sigma_w_sq is None:
+            sigma_w = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
+        else:
+            sigma_w = float(np.sqrt(sigma_w_sq * sigma_t_sq))
+        return alpha * ybar + purpose_rng(cfg, "noise").normal(0.0, sigma_w, cfg.m)
+    sigma_t = float(np.sqrt(sigma_t_sq))
+    return sigma_t * quantize(quantizer, ybar / sigma_t)
 
 
 def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
@@ -266,26 +310,11 @@ def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
         master_seed=task.master_seed,
         trial_index=task.trial_index,
     )
-    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=task.normalize_signals)
-    ensemble = generate_ensemble(cfg, purpose_rng(cfg, "matrix"))
-    a = ensemble.system_matrix
-    ybar = a @ x.values
-    signal_energy = float(x.values @ x.values)
-    sigma_t_sq = signal_energy / task.m
+    x, a, ybar, sigma_t_sq = draw_instance(cfg, normalize=task.normalize_signals)
     sigma_t = float(np.sqrt(sigma_t_sq))
     outcomes: List[Dict[str, Tuple[float, bool]]] = []
     for alpha, quantizer in task.depths:
-        if task.noise_mode == "artificial-correlated":
-            if task.sigma_w_sq is None:
-                sigma_w = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
-            else:
-                sigma_w = float(np.sqrt(task.sigma_w_sq * sigma_t_sq))
-            # a fresh stream per depth: every depth sees the same white draw
-            rng = purpose_rng(cfg, "noise")
-            y = alpha * ybar + rng.normal(0.0, sigma_w, task.m)
-        else:
-            y = sigma_t * quantize(quantizer, ybar / sigma_t)
-
+        y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer, task.sigma_w_sq)
         sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
         sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
         if task.epsilon_mode == "explicit":
@@ -302,7 +331,7 @@ def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
             if method == "biht":
                 signs = sign_with_positive_zero(ybar)
                 report = solve_biht(BihtProblem(a, signs, k=task.k))
-                truth = x.values / float(np.linalg.norm(x.values))
+                truth = x / float(np.linalg.norm(x))
                 out[method] = (nmse(report.solution, truth), report.converged)
                 continue
             if method == "bpdn":
@@ -311,7 +340,7 @@ def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
                 report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), alpha)
             else:  # bpdn-beta
                 report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), task.beta)
-            out[method] = (nmse(report.solution, x.values), report.converged)
+            out[method] = (nmse(report.solution, x), report.converged)
         outcomes.append(out)
     return outcomes
 
@@ -404,7 +433,6 @@ def run_experiments(
                     k=k,
                     trial_index=trial_index,
                     master_seed=first.master_seed,
-                    noise_mode=first.noise_mode,
                     depths=depths,
                     sigma_w_sq=first.sigma_w_sq,
                     epsilon_mode=first.epsilon_mode,
@@ -585,11 +613,12 @@ class TuningObjective:
         self.bits = int(bits)
         self.alpha = _default_alpha(noise_mode, bits, alpha)
         self._quantizer = _design_quantizer(noise_mode, bits)
-        self._instances: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+        self._instances: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray, float]]] = None
         self._solve_cache: Dict[float, List[Tuple[float, float, float]]] = {}
         self.solve_count = 0
 
-    def _materialize(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def _materialize(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+        """Per trial (x, A, y, sigma_t), drawn and measured as the grid does."""
         if self._instances is None:
             instances = []
             for t in range(self.trials):
@@ -600,19 +629,9 @@ class TuningObjective:
                     master_seed=self.master_seed,
                     trial_index=t,
                 )
-                x = generate_signal(cfg, purpose_rng(cfg, "signal")).values
-                a = generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
-                ybar = a @ x
-                sigma_t = float(np.linalg.norm(x) / np.sqrt(self.m))
-                if self.noise_mode == "artificial-correlated":
-                    sigma_w = sigma_t * float(
-                        np.sqrt(self.alpha * (1.0 - self.alpha))
-                    )
-                    rng = purpose_rng(cfg, "noise")
-                    y = self.alpha * ybar + rng.normal(0.0, sigma_w, self.m)
-                else:
-                    y = sigma_t * quantize(self._quantizer, ybar / sigma_t)
-                instances.append((x, a, y))
+                x, a, ybar, sigma_t_sq = draw_instance(cfg)
+                y = measure(cfg, ybar, sigma_t_sq, self.alpha, self._quantizer)
+                instances.append((x, a, y, float(np.sqrt(sigma_t_sq))))
             self._instances = instances
         return self._instances
 
@@ -628,8 +647,8 @@ class TuningObjective:
         if key not in self._solve_cache:
             sigma_ref = float(np.sqrt(self.k / self.m))
             stats = []
-            for x, a, y in self._materialize():
-                scale = float(np.linalg.norm(x) / np.sqrt(self.m)) / sigma_ref
+            for x, a, y, sigma_t in self._materialize():
+                scale = sigma_t / sigma_ref
                 report = solve_bpdn(BpdnProblem(a, y, key * scale))
                 z = report.solution
                 stats.append((float(z @ z), float(z @ x), float(x @ x)))

@@ -84,9 +84,9 @@ def generate_signal(
 
 
 def generate_ensemble(config: InstanceConfig, rng: np.random.Generator) -> SensingEnsemble:
-    """Gaussian ensemble: Phi entries iid N(0, 1/M), identity dictionary, A = Phi."""
-    phi = rng.normal(0.0, 1.0 / np.sqrt(config.m), size=(config.m, config.n))
-    return SensingEnsemble.from_matrix(phi)
+    """Gaussian ensemble: entries of the M x N system matrix A iid N(0, 1/M)."""
+    a = rng.normal(0.0, 1.0 / np.sqrt(config.m), size=(config.m, config.n))
+    return SensingEnsemble.from_matrix(a)
 
 
 def benchmark_grid() -> list[tuple[int, int]]:

@@ -23,7 +23,9 @@ from corrcs.bpdn import (
 from corrcs.experiments import (
     CI99_FACTOR,
     ExperimentConfig,
+    draw_instance,
     improvement_db,
+    measure,
     nmse,
     run_experiment,
     run_experiments,
@@ -37,13 +39,7 @@ from corrcs.quantizers import (
     fit_gain_model,
     gain_model_analytic,
 )
-from corrcs.siggen import (
-    InstanceConfig,
-    benchmark_grid,
-    generate_ensemble,
-    generate_signal,
-    purpose_rng,
-)
+from corrcs.siggen import InstanceConfig, benchmark_grid
 
 pytestmark = pytest.mark.acceptance
 
@@ -167,15 +163,13 @@ def test_criterion_05_scaled_recovery_anchor_points(artificial_runs):
 
 
 def _artificial_instance(cfg, alpha):
-    """(x, A, y, sigma_t): y = alpha*A@x plus white noise of the residual power
+    """(x, A, y, sigma_t) as an artificial-correlated trial draws them:
+    y = alpha*A@x plus white noise of the residual power
     alpha*(1-alpha)*sigma_t^2, where sigma_t = ||x||/sqrt(M) is the per-trial
     measurement scale."""
-    x = generate_signal(cfg, purpose_rng(cfg, "signal")).values
-    a = generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
-    sigma_t = float(np.linalg.norm(x)) / np.sqrt(cfg.m)
-    sigma_w = sigma_t * float(np.sqrt(alpha * (1.0 - alpha)))
-    y = alpha * (a @ x) + purpose_rng(cfg, "noise").normal(0.0, sigma_w, cfg.m)
-    return x, a, y, sigma_t
+    x, a, ybar, sigma_t_sq = draw_instance(cfg)
+    y = measure(cfg, ybar, sigma_t_sq, alpha, None)
+    return x, a, y, float(np.sqrt(sigma_t_sq))
 
 
 def test_criterion_06_matrix_scaling_equals_rescaling():

@@ -11,13 +11,11 @@ from corrcs import bpdn
 from corrcs.bpdn import (
     BpdnProblem,
     epsilon_rule,
-    oracle_epsilons,
     project_l1,
     solve_bpdn,
     solve_post_scaled,
     solve_scaled_matrix,
 )
-from corrcs.model import MeasurementSet
 
 
 def sparse_instance(rng, n, m, k, noise_scale=0.0):
@@ -449,25 +447,3 @@ def test_problem_rejects_non_finite_input(bad):
 def test_problem_rejects_empty_shapes(shape):
     with pytest.raises(ValueError, match="non-empty"):
         BpdnProblem(np.zeros(shape), np.zeros(shape[0]), 0.1)
-
-
-def test_oracle_epsilons_identities():
-    rng = np.random.default_rng(41)
-    ybar = rng.normal(size=50)
-    w = rng.normal(0.0, 0.1, size=50)
-    alpha = 0.8
-    y = alpha * ybar + w
-    ms = MeasurementSet(observed=y, noiseless=ybar)
-    out = oracle_epsilons(ms, alpha=alpha)
-    assert out["total"] == pytest.approx(np.linalg.norm(y - ybar), rel=1e-12)
-    assert out["uncorrelated"] == pytest.approx(np.linalg.norm(w), rel=1e-12)
-    assert set(oracle_epsilons(ms)) == {"total"}
-
-
-def test_oracle_epsilons_validation():
-    ms = MeasurementSet(observed=np.ones(4))
-    with pytest.raises(ValueError):
-        oracle_epsilons(ms)
-    full = MeasurementSet(observed=np.ones(4), noiseless=np.ones(4))
-    with pytest.raises(ValueError):
-        oracle_epsilons(full, alpha=1.5)

@@ -360,6 +360,35 @@ def test_tuning_objective_matches_direct_scaled_recovery():
     assert obj(0.8, eps0) == pytest.approx(direct, rel=1e-12)
 
 
+def test_tuning_objective_solves_the_grids_problems(monkeypatch):
+    # the tuner's cached instances and radii are the grid's, bit for bit
+    problems = []
+
+    def recording(a, y, epsilon):
+        problems.append((np.asarray(y).tobytes(), epsilon))
+        return original(a, y, epsilon)
+
+    original = experiments.BpdnProblem
+    monkeypatch.setattr(experiments, "BpdnProblem", recording)
+    obj = tuning_objective(m=32, k=2, trials=20, master_seed=7, n=64)
+    eps0 = obj.reference_epsilon()
+    obj(0.8, eps0)
+    tuner, problems[:] = list(problems), []
+    config = ExperimentConfig(
+        grid=((64, 32, 2),),
+        trials=20,
+        noise_mode="artificial-correlated",
+        methods=("bpdn-beta",),
+        master_seed=7,
+        beta=0.8,
+        epsilon_mode="explicit",
+        explicit_epsilon=eps0,
+    )
+    run_experiment(config)
+    assert len(tuner) == 20
+    assert tuner == problems
+
+
 def test_tuning_objective_rejects_infeasible_points_with_inf():
     obj = tuning_objective(m=32, k=2, trials=2, master_seed=7, n=64)
     assert obj(0.0, 1.0) == np.inf

@@ -3,79 +3,32 @@
 import numpy as np
 import pytest
 
+from corrcs.experiments import measure
 from corrcs.model import (
-    MeasurementSet,
     NoiseSpec,
     SensingEnsemble,
     SparseSignal,
-    apply_correlated_noise,
     correlated_noise_variance,
-    measure_noiseless,
 )
+from corrcs.siggen import InstanceConfig
 
 ALPHA_1BIT = 0.636597595
 
 
-def test_measure_noiseless_zero_signal():
-    signal = SparseSignal(np.zeros(4), 0)
-    ensemble = SensingEnsemble.from_matrix(np.ones((2, 4)))
-    assert np.array_equal(measure_noiseless(signal, ensemble), np.zeros(2))
-
-
-def test_measure_noiseless_identity_matrix():
-    x = np.array([1.0, -2.0, 3.0])
-    signal = SparseSignal(x, 3)
-    ensemble = SensingEnsemble.from_matrix(np.eye(3))
-    assert np.array_equal(measure_noiseless(signal, ensemble), x)
-
-
-def test_measure_noiseless_hand_product():
-    signal = SparseSignal(np.array([1.0, 1.0]), 2)
-    ensemble = SensingEnsemble.from_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.allclose(measure_noiseless(signal, ensemble), [3.0, 7.0])
-
-
-def test_measure_noiseless_dimension_mismatch():
-    signal = SparseSignal(np.array([1.0, 1.0, 1.0]), 3)
-    ensemble = SensingEnsemble.from_matrix(np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        measure_noiseless(signal, ensemble)
-
-
-def test_measure_noiseless_linearity():
-    rng = np.random.default_rng(0)
-    ensemble = SensingEnsemble.from_matrix(rng.normal(size=(5, 9)))
-    x1, x2 = rng.normal(size=9), rng.normal(size=9)
-    lhs = measure_noiseless(SparseSignal(2.0 * x1 + 3.0 * x2, 9), ensemble)
-    rhs = 2.0 * measure_noiseless(SparseSignal(x1, 9), ensemble) + 3.0 * measure_noiseless(
-        SparseSignal(x2, 9), ensemble
-    )
-    assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_apply_noise_alpha_one_no_noise_is_identity():
-    ybar = np.array([0.5, -1.5, 2.0])
-    out = apply_correlated_noise(ybar, NoiseSpec(1.0, 0.0), np.random.default_rng(0))
-    assert np.array_equal(out.observed, ybar)
-    assert np.array_equal(out.noiseless, ybar)
-
-
-def test_apply_noise_pure_scaling():
-    out = apply_correlated_noise(
-        np.array([2.0, 4.0]), NoiseSpec(0.5, 0.0), np.random.default_rng(0)
-    )
-    assert np.array_equal(out.observed, [1.0, 2.0])
+def _artificial_measurements(m, sigma_t_sq, alpha, seed):
+    """(ybar, y): ybar with per-entry variance sigma_t_sq, measured the way an
+    artificial-correlated trial is, with its own noise stream."""
+    cfg = InstanceConfig(n=m, m=m, k=0, master_seed=seed)
+    ybar = np.random.default_rng(seed).normal(0.0, np.sqrt(sigma_t_sq), m)
+    return ybar, measure(cfg, ybar, sigma_t_sq, alpha, None)
 
 
 def test_apply_noise_uncorrelated_variance_matches_spec():
-    # w-variance set to alpha*(1-alpha): the level the gain model pairs with
-    # sigma_ybar^2 = 1; the sample variance of y - alpha*ybar must recover it
+    # the harness sets the w-variance to alpha*(1-alpha)*sigma_t^2, the level
+    # the gain model pairs with the signal power; y - alpha*ybar must recover it
     alpha = ALPHA_1BIT
-    spec = NoiseSpec(alpha, alpha * (1.0 - alpha), sigma_ybar_sq=1.0)
-    rng = np.random.default_rng(7)
-    ybar = rng.normal(0.0, 1.0, 10**6)
-    out = apply_correlated_noise(ybar, spec, rng)
-    w = out.observed - alpha * ybar
+    ybar, y = _artificial_measurements(10**6, 1.0, alpha, seed=7)
+    w = y - alpha * ybar
     assert abs(np.var(w) - alpha * (1.0 - alpha)) < 0.002
 
 
@@ -88,23 +41,11 @@ def test_noise_variance_examples():
     assert total == pytest.approx(1.0 - alpha, abs=1e-12)
 
 
-def test_alpha_one_noise_uncorrelated_with_signal():
-    rng = np.random.default_rng(3)
-    ybar = rng.normal(0.0, 1.0, 10**5)
-    spec = NoiseSpec(1.0, 0.5, sigma_ybar_sq=1.0)
-    out = apply_correlated_noise(ybar, spec, rng)
-    noise = out.observed - ybar
-    corr = float(np.mean(noise * ybar))
-    stderr = float(np.std(noise * ybar) / np.sqrt(ybar.size))
-    assert abs(corr) <= 3.0 * stderr
-
-
 def test_empirical_total_noise_variance_within_one_percent():
-    rng = np.random.default_rng(11)
-    spec = NoiseSpec(0.8, 0.1, sigma_ybar_sq=2.0)
-    ybar = rng.normal(0.0, np.sqrt(spec.sigma_ybar_sq), 2 * 10**5)
-    out = apply_correlated_noise(ybar, spec, rng)
-    noise = out.observed - ybar
+    alpha, sigma_t_sq = 0.8, 2.0
+    ybar, y = _artificial_measurements(2 * 10**5, sigma_t_sq, alpha, seed=11)
+    spec = NoiseSpec(alpha, alpha * (1.0 - alpha) * sigma_t_sq, sigma_t_sq)
+    noise = y - ybar
     assert np.var(noise) == pytest.approx(correlated_noise_variance(spec), rel=0.01)
 
 
@@ -121,24 +62,9 @@ def test_sparse_signal_immutable():
         signal.values[0] = 5.0
 
 
-def test_ensemble_validates_product_and_orthonormality():
-    phi = np.array([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ValueError):
-        SensingEnsemble(phi, np.eye(2), phi + 1.0)
-    with pytest.raises(ValueError):
-        SensingEnsemble(phi, np.array([[1.0, 1.0], [0.0, 1.0]]), phi)
+def test_ensemble_rejects_more_rows_than_columns():
     with pytest.raises(ValueError):
         SensingEnsemble.from_matrix(np.ones((3, 2)))  # M > N
-
-
-def test_ensemble_accepts_rotation_dictionary():
-    theta = 0.3
-    psi = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    )
-    phi = np.array([[1.0, 2.0]])
-    ensemble = SensingEnsemble(phi, psi, phi @ psi)
-    assert ensemble.m == 1 and ensemble.n == 2
 
 
 def test_noise_spec_bounds():
@@ -150,7 +76,3 @@ def test_noise_spec_bounds():
         NoiseSpec(0.5, -0.1)
     NoiseSpec(1.0, 0.0)  # boundary alpha = 1 is allowed
 
-
-def test_measurement_set_length_check():
-    with pytest.raises(ValueError):
-        MeasurementSet(np.zeros(3), np.zeros(4))

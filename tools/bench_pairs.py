@@ -7,8 +7,10 @@ commit first) into one temporary directory, and each pair runs the
 benchmark command of BENCHMARK.json (`python3 perfbench/run.py ... --trace 0`,
 for its `run_seconds`) once in each tree on the same seed, alternating which
 side runs first. The output file at the repository root keeps the
-environment block, both commits, every pair's end-to-end metrics, each
-side's median and quartiles per metric, and how many pairs the change won.
+environment block (run.py's env line plus the OpenBLAS thread count that a
+fresh interpreter of the benchmark command uses), both commits, every
+pair's end-to-end metrics, each side's median and quartiles per metric, and
+how many pairs the change won.
 A gain is claimed only when the change wins at least 9 in 10 pairs and the
 medians differ by more than the parent's interquartile distance
 (`claim_met`). Running the script again with the same label adds its
@@ -34,6 +36,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
 # keys of run.py's env line that describe one run, not the machine
 PER_RUN_ENV = ("git_commit", "seed", "workload", "trace", "trials")
+# Prints the thread count of numpy's bundled OpenBLAS, read through ctypes
+# after numpy is imported, or null and the reason when no such symbol is found.
+BLAS_PROBE = r"""
+import ctypes, glob, json, os
+import numpy
+pattern = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                       "numpy.libs", "libscipy_openblas64_*.so")
+out = {"openblas_threads": None, "openblas_threads_reason": "no file " + pattern}
+for path in sorted(glob.glob(pattern)):
+    try:
+        get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+    except AttributeError:
+        out["openblas_threads_reason"] = "no scipy_openblas_get_num_threads64_ in " + path
+        continue
+    get.argtypes, get.restype = [], ctypes.c_int
+    out = {"openblas_threads": get(), "openblas_lib": os.path.basename(path)}
+    break
+print(json.dumps(out))
+"""
 
 
 def parse_seeds(text: str) -> list:
@@ -72,6 +93,15 @@ def export(rev: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
     if proc.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+
+
+def blas_threads(python: str) -> dict:
+    """The OpenBLAS thread count that a fresh `python` uses once numpy is imported."""
+    proc = subprocess.run([python, "-c", BLAS_PROBE], capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"openblas_threads": None,
+                "openblas_threads_reason": proc.stderr.strip()[-500:]}
+    return json.loads(proc.stdout)
 
 
 def run_once(command, tree, workload, seed, seconds) -> dict:
@@ -136,6 +166,7 @@ def main(argv=None) -> int:
     args = parse_args(argv, benchmark)
     seconds = benchmark["run_seconds"]
     commits = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
+    blas = blas_threads(benchmark["command"][0])
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     record = {"label": args.label, "runs": []}
     if os.path.exists(path):
@@ -159,6 +190,7 @@ def main(argv=None) -> int:
                 pair["change"].pop("env", None)
                 if env is not None:
                     record["env"] = {k: v for k, v in env.items() if k not in PER_RUN_ENV}
+                    record["env"].update(blas)
                 pairs.append(pair)
                 print(json.dumps(pair), flush=True)
             run = {

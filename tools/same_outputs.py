@@ -1,0 +1,123 @@
+"""Compare the files two revisions write on a fixed set of seeded recipes.
+
+    python3 tools/same_outputs.py BASE [CHANGE]
+
+Both revisions are exported with the `export` helper of tools/bench_pairs.py
+(CHANGE defaults to HEAD, so commit first), and each export runs, from its
+own `src`:
+
+- `reproduce --figure fig2|fig3|fig4 --scale desk --trials 2` at
+  `--workers 1` and `2` (CSV, three manifests and plot script each);
+- `reproduce --figure fig5 --scale desk` at `--trials 1` and `3`, each at
+  `--workers 1` and `2` (CSV, manifest and plot script);
+- `optimize-beta-epsilon --m 400 --k 41 --bits 1 --trials 3` on seeds 0-9.
+
+For each file the script prints "equal", or the largest relative difference
+among the numbers in it (or why the two cannot be compared number by number).
+It exits 1 when any file or exit status differs, or a run fails. Seeded
+outputs depend on the BLAS thread count, so run both sides in the same
+environment. Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_pairs import export, git  # noqa: E402
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def recipes() -> list:
+    """(name, CLI arguments, output is a directory) for every run of the set."""
+    out = []
+    for figure in ("fig2", "fig3", "fig4"):
+        for workers in (1, 2):
+            out.append((f"{figure}-trials2-workers{workers}",
+                        ["reproduce", "--figure", figure, "--scale", "desk",
+                         "--trials", "2", "--workers", str(workers)], True))
+    for trials in (1, 3):
+        for workers in (1, 2):
+            out.append((f"fig5-trials{trials}-workers{workers}",
+                        ["reproduce", "--figure", "fig5", "--scale", "desk",
+                         "--trials", str(trials), "--workers", str(workers)], True))
+    for seed in range(10):
+        out.append((f"tune-seed{seed}",
+                    ["optimize-beta-epsilon", "--m", "400", "--k", "41", "--bits", "1",
+                     "--trials", "3", "--seed", str(seed)], False))
+    return out
+
+
+def run(tree: str, name: str, args: list, is_dir: bool, out_root: str) -> int:
+    """Run one recipe in `tree`, its files landing in `out_root/name`; its exit status."""
+    dest = os.path.join(out_root, name)
+    os.makedirs(dest)
+    target = dest if is_dir else os.path.join(dest, "tune.json")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-m", "corrcs", *args, "--out", target],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 2):  # 2: a flagged grid point, still written
+        print(f"{name}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", flush=True)
+    return proc.returncode
+
+
+def compare(a: bytes, b: bytes) -> str:
+    """"equal", or the largest relative difference among the files' numbers."""
+    if a == b:
+        return "equal"
+    ta, tb = a.decode(), b.decode()
+    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb):
+        return "text differs"
+    worst = 0.0
+    for x, y in zip(map(float, NUMBER.findall(ta)), map(float, NUMBER.findall(tb))):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return f"max relative difference {worst:.3g}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="git revision of the parent")
+    parser.add_argument("change", nargs="?", default="HEAD", help="git revision of the change")
+    args = parser.parse_args(argv)
+    sides = ("base", "change")
+    commits = {side: git("rev-parse", getattr(args, side)) for side in sides}
+    differing = total = bad_runs = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        for side in sides:
+            export(commits[side], os.path.join(tmp, side))
+        for name, cli_args, is_dir in recipes():
+            codes = {
+                side: run(os.path.join(tmp, side), name, cli_args, is_dir,
+                          os.path.join(tmp, f"{side}-out"))
+                for side in sides
+            }
+            if codes["base"] != codes["change"] or codes["base"] not in (0, 2):
+                bad_runs += 1
+                print(f"{name}: exit {codes['base']} -> {codes['change']}", flush=True)
+            dirs = {side: os.path.join(tmp, f"{side}-out", name) for side in sides}
+            files = sorted(set(os.listdir(dirs["base"])) | set(os.listdir(dirs["change"])))
+            for filename in files:
+                total += 1
+                paths = {side: os.path.join(dirs[side], filename) for side in sides}
+                if not all(os.path.exists(p) for p in paths.values()):
+                    verdict = "missing on one side"
+                else:
+                    with open(paths["base"], "rb") as fa, open(paths["change"], "rb") as fb:
+                        verdict = compare(fa.read(), fb.read())
+                differing += verdict != "equal"
+                print(f"{name}/{filename}: {verdict}", flush=True)
+    print(f"{total} files, {total - differing} equal, {differing} differing, "
+          f"{bad_runs} runs failed or exited differently "
+          f"({commits['base'][:12]} -> {commits['change'][:12]})")
+    return 1 if differing or bad_runs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
