@@ -373,7 +373,8 @@ def test_tuning_objective_solves_the_grids_problems(monkeypatch):
     obj = tuning_objective(m=32, k=2, trials=20, master_seed=7, n=64)
     eps0 = obj.reference_epsilon()
     obj(0.8, eps0)
-    tuner, problems[:] = list(problems), []
+    tuner = problems.copy()
+    problems.clear()
     config = ExperimentConfig(
         grid=((64, 32, 2),),
         trials=20,

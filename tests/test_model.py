@@ -62,7 +62,7 @@ def test_sparse_signal_immutable():
         signal.values[0] = 5.0
 
 
-def test_ensemble_rejects_more_rows_than_columns():
+def test_ensemble_validates_product_and_orthonormality():
     with pytest.raises(ValueError):
         SensingEnsemble.from_matrix(np.ones((3, 2)))  # M > N
 
