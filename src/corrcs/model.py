@@ -1,11 +1,12 @@
 """Core measurement model: sparse signals, the sensing matrix, correlated noise.
 
 The signal is sparse in the canonical basis, so the measurements use the
-sensing matrix A directly. The noise model is y = alpha * ybar + w, where ybar = A x are the noiseless
-measurements, 0 < alpha <= 1, and w is zero-mean white Gaussian noise that is
-uncorrelated with ybar. Total noise n = y - ybar then has per-entry variance
-(alpha - 1)^2 * sigma_ybar^2 + sigma_w^2. The harness draws and measures
-each trial's instance in corrcs.experiments (draw_instance, measure).
+sensing matrix A directly. The noise model is y = alpha * ybar + w, where
+ybar = A x are the noiseless measurements, 0 < alpha <= 1, and w is
+zero-mean white Gaussian noise that is uncorrelated with ybar. Total noise
+n = y - ybar then has per-entry variance (alpha - 1)^2 * sigma_ybar^2 +
+sigma_w^2. The harness draws and measures each trial's instance in
+corrcs.experiments (draw_instance, measure).
 """
 
 from __future__ import annotations
