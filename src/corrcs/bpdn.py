@@ -464,8 +464,8 @@ def solve_post_scaled(
     beta equal to the noise-model gain alpha is the matched correction; other
     values generalize the scaling for tuning studies.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     inner = solve_bpdn(problem, max_matvec=max_matvec)
     solution = inner.solution / beta
     residual = problem.observed - problem.system_matrix @ solution

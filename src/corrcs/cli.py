@@ -167,6 +167,17 @@ def _flagged_exit(points: Sequence[GridPointResult]) -> int:
     return 0
 
 
+def _sweep(out_dir: str, name: str, params: dict, workers: int):
+    """Run a phase sweep on params (recorded in its manifest) and write
+    `name`.csv and `name`-manifest.json; returns the CSV path and the cells."""
+    cells = run_phase_sweep(workers=workers, **params)
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    write_results_csv(csv_path, cells)
+    write_sweep_manifest(os.path.join(out_dir, f"{name}-manifest.json"), params, cells)
+    return csv_path, cells
+
+
 def _cmd_reproduce(args) -> int:
     figure = args.figure
     workers = _workers(args.workers)
@@ -226,16 +237,8 @@ def _cmd_reproduce(args) -> int:
             params = dict(delta_step=0.05, rho_step=0.05, trials=100, n=256)
         if args.trials is not None:
             params["trials"] = args.trials
-        cells = run_phase_sweep(
-            master_seed=args.seed, workers=workers, nmse_cutoff=1.0, **params
-        )
-        csv_path = os.path.join(args.out, "fig5.csv")
-        write_results_csv(csv_path, cells)
-        write_sweep_manifest(
-            os.path.join(args.out, "fig5-manifest.json"),
-            dict(params, master_seed=args.seed, nmse_cutoff=1.0),
-            cells,
-        )
+        params.update(master_seed=args.seed, nmse_cutoff=1.0)
+        csv_path, cells = _sweep(args.out, "fig5", params, workers)
         with open(os.path.join(args.out, "fig5.plt"), "w") as fh:
             fh.write(
                 _plot_script(
@@ -403,33 +406,16 @@ def _cmd_quantizer(args) -> int:
 
 
 def _cmd_phase_sweep(args) -> int:
-    methods = tuple(m for m in args.methods.split(",") if m)
-    cells = run_phase_sweep(
+    params = dict(
         delta_step=args.delta_step,
         rho_step=args.rho_step,
         trials=args.trials,
-        methods=methods,
+        methods=tuple(m for m in args.methods.split(",") if m),
         nmse_cutoff=args.cutoff,
         n=args.n,
         master_seed=args.seed,
-        workers=_workers(args.workers),
     )
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "phase-sweep.csv")
-    write_results_csv(csv_path, cells)
-    write_sweep_manifest(
-        os.path.join(args.out, "phase-sweep-manifest.json"),
-        {
-            "delta_step": args.delta_step,
-            "rho_step": args.rho_step,
-            "trials": args.trials,
-            "methods": list(methods),
-            "nmse_cutoff": args.cutoff,
-            "n": args.n,
-            "master_seed": args.seed,
-        },
-        cells,
-    )
+    csv_path, cells = _sweep(args.out, "phase-sweep", params, _workers(args.workers))
     print(csv_path)
     return _flagged_exit(cells)
 

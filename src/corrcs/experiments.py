@@ -31,11 +31,14 @@ Grid trials and the tuner's cached trials both go through these two
 functions, so at the same point, seed and radius the tuner solves exactly
 the problems the grid solves.
 
-Bit depths: the instance of a trial does not depend on the bit depth, so
-run_experiments runs configs that differ only in bits as one pass. A trial
-draws its instance once and then measures and solves it at every depth in
-turn; in artificial-correlated mode the noise stream is re-seeded for each
-depth, so each depth sees the draw it would see alone.
+Jobs: a job is one (grid point, trial index) pair. The instance of a trial
+does not depend on the bit depth, so run_experiments runs configs that
+differ only in bits as one pass: a job draws its instance once and then
+measures and solves it at every depth in turn; in artificial-correlated
+mode the noise stream is re-seeded for each depth, so each depth sees the
+draw it would see alone. The phase sweep's job is one delta column. _map is
+the one fan-out: it runs a list of jobs inline at one worker and on one
+process pool otherwise.
 
 Reproducibility: results are bit-identical for a given config and master
 seed regardless of worker count, because every trial derives its own seed
@@ -53,7 +56,7 @@ import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -212,54 +215,22 @@ class ExperimentResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _default_alpha(noise_mode: str, bits: int, override: Optional[float]) -> float:
-    """Correlation gain for the mode: explicit override, else the analytic
-    value of the matching minimum-distortion quantizer at this bit depth
-    (artificial mode mimics Lloyd-Max statistics). Memoised per process."""
-    if override is not None:
-        return float(override)
+def _design(noise_mode: str, bits: int) -> Tuple[float, Optional[ScalarQuantizer]]:
+    """(alpha, quantizer) of a bit depth: the unit-sigma minimum-distortion
+    quantizer of the mode and its analytic correlation gain.
+
+    Artificial mode mimics Lloyd-Max statistics: it takes the Lloyd-Max alpha
+    and measures without a quantizer (None). Callers apply an explicit alpha
+    themselves. Memoised per process, so each (mode, bits) is designed once;
+    the quantizer is frozen with read-only arrays, so every caller can share
+    one instance.
+    """
     if noise_mode == "uniform-quantized":
         q = design_uniform_mmse(bits, 1.0)
     else:
         q = design_lloyd_max(bits, 1.0)
-    return gain_model_analytic(q, 1.0).alpha
-
-
-@functools.lru_cache(maxsize=None)
-def _design_quantizer(noise_mode: str, bits: int) -> Optional[ScalarQuantizer]:
-    """Unit-sigma quantizer reused across all trials (gain control rescales).
-
-    Memoised per process; the quantizer is frozen with read-only arrays, so
-    every caller can share one instance.
-    """
-    if noise_mode == "lloyd-max-quantized":
-        return design_lloyd_max(bits, 1.0)
-    if noise_mode == "uniform-quantized":
-        return design_uniform_mmse(bits, 1.0)
-    return None
-
-
-@dataclass(frozen=True)
-class _TrialTask:
-    """Self-contained description of one trial (picklable for workers).
-
-    depths holds one (alpha, quantizer) pair per bit depth, the quantizer
-    None in artificial-correlated mode; the trial draws its instance once and
-    measures and solves it at every depth in order.
-    """
-
-    n: int
-    m: int
-    k: int
-    trial_index: int
-    master_seed: int
-    depths: Tuple[Tuple[float, Optional[ScalarQuantizer]], ...]
-    sigma_w_sq: Optional[float]
-    epsilon_mode: str
-    explicit_epsilon: Optional[float]
-    beta: Optional[float]
-    methods: Tuple[str, ...]
-    normalize_signals: bool
+    alpha = gain_model_analytic(q, 1.0).alpha
+    return alpha, (None if noise_mode == "artificial-correlated" else q)
 
 
 def draw_instance(
@@ -301,36 +272,41 @@ def measure(
     return sigma_t * quantize(quantizer, ybar / sigma_t)
 
 
-def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
-    """Execute one trial; returns, per depth, method -> (nmse, converged)."""
+def _run_trial(
+    config: ExperimentConfig,
+    depths: Tuple[Tuple[float, Optional[ScalarQuantizer]], ...],
+    job: Tuple[Tuple[int, int, int], int],
+) -> List[Dict[str, Tuple[float, bool]]]:
+    """Run one job, a (grid point, trial index) pair: draw its instance once,
+    then measure and solve it at each (alpha, quantizer) depth in order.
+
+    Returns, per depth, method -> (nmse, converged).
+    """
+    (n, m, k), trial_index = job
     cfg = InstanceConfig(
-        n=task.n,
-        m=task.m,
-        k=task.k,
-        master_seed=task.master_seed,
-        trial_index=task.trial_index,
+        n=n, m=m, k=k, master_seed=config.master_seed, trial_index=trial_index
     )
-    x, a, ybar, sigma_t_sq = draw_instance(cfg, normalize=task.normalize_signals)
+    x, a, ybar, sigma_t_sq = draw_instance(cfg, normalize=config.normalize_signals)
     sigma_t = float(np.sqrt(sigma_t_sq))
     outcomes: List[Dict[str, Tuple[float, bool]]] = []
-    for alpha, quantizer in task.depths:
-        y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer, task.sigma_w_sq)
+    for alpha, quantizer in depths:
+        y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer, config.sigma_w_sq)
         sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
         sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
-        if task.epsilon_mode == "explicit":
+        if config.epsilon_mode == "explicit":
             # The explicit radius is interpreted at the ensemble reference
             # scale sqrt(K/M) and follows the per-trial gain like everything else.
-            scale = sigma_t / float(np.sqrt(task.k / task.m))
-            eps_bpdn = eps_scaled = float(task.explicit_epsilon) * scale
+            scale = sigma_t / float(np.sqrt(k / m))
+            eps_bpdn = eps_scaled = float(config.explicit_epsilon) * scale
         else:
-            eps_bpdn = epsilon_rule(task.m, sigma_q)
-            eps_scaled = epsilon_rule(task.m, sigma_r)
+            eps_bpdn = epsilon_rule(m, sigma_q)
+            eps_scaled = epsilon_rule(m, sigma_r)
 
         out: Dict[str, Tuple[float, bool]] = {}
-        for method in task.methods:
+        for method in config.methods:
             if method == "biht":
                 signs = sign_with_positive_zero(ybar)
-                report = solve_biht(BihtProblem(a, signs, k=task.k))
+                report = solve_biht(BihtProblem(a, signs, k=k))
                 truth = x / float(np.linalg.norm(x))
                 out[method] = (nmse(report.solution, truth), report.converged)
                 continue
@@ -339,7 +315,7 @@ def _run_trial(task: _TrialTask) -> List[Dict[str, Tuple[float, bool]]]:
             elif method == "bpdn-scale":
                 report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), alpha)
             else:  # bpdn-beta
-                report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), task.beta)
+                report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), config.beta)
             out[method] = (nmse(report.solution, x), report.converged)
         outcomes.append(out)
     return outcomes
@@ -351,8 +327,6 @@ def _aggregate(
     config: ExperimentConfig,
     per_trial: np.ndarray,
     nonconverged: int,
-    delta: Optional[float] = None,
-    rho: Optional[float] = None,
 ) -> GridPointResult:
     n, m, k = point
     trials = per_trial.size
@@ -366,8 +340,8 @@ def _aggregate(
         n=n,
         m=m,
         k=k,
-        delta=float(m / n) if delta is None else float(delta),
-        rho=float(k / m) if rho is None else float(rho),
+        delta=float(m / n),
+        rho=float(k / m),
         method=method,
         noise_mode=config.noise_mode,
         bits=config.bits,
@@ -379,81 +353,58 @@ def _aggregate(
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    delta_rho: Optional[Sequence[Tuple[float, float]]] = None,
-) -> ExperimentResult:
+def _map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> list:
+    """[fn(item) for item in items], in order: inline at workers == 1, else on
+    one process pool of that many workers. The harness's only fan-out."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every (grid point, trial, method) and aggregate NMSE per point.
 
     workers > 1 distributes trials across processes; aggregation is ordered
-    by trial index so the result does not depend on scheduling. delta_rho
-    optionally overrides the recorded (delta, rho) per grid point (used by
-    the phase sweep, where they are the swept coordinates).
+    by trial index so the result does not depend on scheduling.
     """
-    return run_experiments([config], workers=workers, delta_rho=delta_rho)[0]
+    return run_experiments([config], workers=workers)[0]
 
 
 def run_experiments(
-    configs: Sequence[ExperimentConfig],
-    workers: int = 1,
-    delta_rho: Optional[Sequence[Tuple[float, float]]] = None,
+    configs: Sequence[ExperimentConfig], workers: int = 1
 ) -> List[ExperimentResult]:
     """Run configs that differ only in bits as one pass; one result per config.
 
-    Each (grid point, trial) is one task that draws its instance once and
+    Each (grid point, trial) is one job that draws its instance once and
     measures and solves it at every config's bit depth, in config order; the
     instance streams do not depend on the bit depth, so every result equals
     what run_experiment gives for that config alone. workers > 1 runs the
-    tasks on one process pool. delta_rho is as for run_experiment.
+    jobs on one process pool.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if not configs:
         raise ValueError("configs must contain at least one ExperimentConfig")
     first = configs[0]
     for config in configs[1:]:
         if replace(config, bits=first.bits) != first:
             raise ValueError("configs passed together may differ only in bits")
-    depths = tuple(
-        (
-            _default_alpha(config.noise_mode, config.bits, config.alpha),
-            _design_quantizer(config.noise_mode, config.bits),
-        )
-        for config in configs
-    )
-
-    tasks: List[_TrialTask] = []
-    for n, m, k in first.grid:
-        for trial_index in range(first.trials):
-            tasks.append(
-                _TrialTask(
-                    n=n,
-                    m=m,
-                    k=k,
-                    trial_index=trial_index,
-                    master_seed=first.master_seed,
-                    depths=depths,
-                    sigma_w_sq=first.sigma_w_sq,
-                    epsilon_mode=first.epsilon_mode,
-                    explicit_epsilon=first.explicit_epsilon,
-                    beta=first.beta,
-                    methods=first.methods,
-                    normalize_signals=first.normalize_signals,
-                )
-            )
-
-    if workers == 1:
-        outcomes = [_run_trial(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, tasks, chunksize=8))
+    depths = []
+    for config in configs:
+        alpha, quantizer = _design(config.noise_mode, config.bits)
+        if config.alpha is not None:
+            alpha = float(config.alpha)
+        depths.append((alpha, quantizer))
+    jobs = [(point, trial) for point in first.grid for trial in range(first.trials)]
+    trial = functools.partial(_run_trial, first, tuple(depths))
+    outcomes = _map(trial, jobs, workers, chunksize=8)
 
     results: List[ExperimentResult] = []
     for depth, config in enumerate(configs):
         points: List[GridPointResult] = []
         for point_index, point in enumerate(config.grid):
-            # Tasks are built point-major, so each point owns one contiguous run.
+            # Jobs are point-major, so each point owns one contiguous run.
             rows = [
                 outcome[depth]
                 for outcome in outcomes[
@@ -463,60 +414,50 @@ def run_experiments(
             for method in config.methods:
                 per_trial = np.array([row[method][0] for row in rows])
                 nonconverged = sum(1 for row in rows if not row[method][1])
-                override = delta_rho[point_index] if delta_rho is not None else (None, None)
-                points.append(
-                    _aggregate(point, method, config, per_trial, nonconverged, *override)
-                )
+                points.append(_aggregate(point, method, config, per_trial, nonconverged))
         results.append(ExperimentResult(config=config, points=tuple(points)))
     return results
 
 
-@dataclass(frozen=True)
-class _SweepColumn:
-    """One delta column of the phase sweep (picklable for workers)."""
-
-    delta: float
-    m: int
-    n: int
-    rho_step: float
-    trials: int
-    methods: Tuple[str, ...]
-    nmse_cutoff: float
-    master_seed: int
-    bits: int
-
-
-def _sweep_column(column: _SweepColumn) -> List[GridPointResult]:
+def _sweep_column(
+    delta: float,
+    n: int,
+    rho_step: float,
+    trials: int,
+    methods: Tuple[str, ...],
+    nmse_cutoff: float,
+    master_seed: int,
+    bits: int,
+) -> List[GridPointResult]:
     """Ascend rho in one delta column; a method drops out past the NMSE cutoff.
 
     rho has to stay sequential here because the cutoff decides which methods
-    the next cell runs; columns are independent of each other.
+    the next cell runs; columns are independent of each other. Each cell
+    records the swept (delta, rho), not (M/N, K/M).
     """
+    m = int(round(delta * n))
     cells: List[GridPointResult] = []
-    active = list(column.methods)
-    for rho in np.arange(column.rho_step, 1.0 + 1e-12, column.rho_step):
+    active = list(methods)
+    for rho in np.arange(rho_step, 1.0 + 1e-12, rho_step):
         if not active:
             break
-        k = int(round(rho * column.m))
+        k = int(round(rho * m))
         if k < 1:
             continue
-        if k > column.m:
+        if k > m:
             break
         config = ExperimentConfig(
-            grid=((column.n, column.m, k),),
-            trials=column.trials,
+            grid=((n, m, k),),
+            trials=trials,
             noise_mode="lloyd-max-quantized",
             methods=tuple(active),
-            master_seed=column.master_seed,
-            bits=column.bits,
+            master_seed=master_seed,
+            bits=bits,
             normalize_signals=True,
         )
-        result = run_experiment(
-            config, workers=1, delta_rho=[(column.delta, float(rho))]
-        )
-        for point in result.points:
-            cells.append(point)
-            if point.mean_nmse > column.nmse_cutoff:
+        for point in run_experiment(config).points:
+            cells.append(replace(point, delta=delta, rho=float(rho)))
+            if point.mean_nmse > nmse_cutoff:
                 active.remove(point.method)
     return cells
 
@@ -541,10 +482,8 @@ def run_phase_sweep(
     bpdn-* methods read 1-bit quantized measurements, biht reads signs.
 
     workers > 1 runs the delta columns on one process pool, one column per
-    task; cells come back in delta order either way.
+    job; cells come back in delta order either way.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 < delta_step <= 1.0 or not 0.0 < rho_step <= 1.0:
         raise ValueError("delta_step and rho_step must be in (0, 1]")
     if not nmse_cutoff > 0.0:
@@ -553,29 +492,22 @@ def run_phase_sweep(
         if method not in ("bpdn-scale", "biht"):
             raise ValueError(f"phase sweep supports bpdn-scale and biht, got {method!r}")
 
-    columns: List[_SweepColumn] = []
-    for delta in np.arange(delta_step, 1.0 + 1e-12, delta_step):
-        m = int(round(delta * n))
-        if 1 <= m <= n:
-            columns.append(
-                _SweepColumn(
-                    delta=float(delta),
-                    m=m,
-                    n=n,
-                    rho_step=rho_step,
-                    trials=trials,
-                    methods=tuple(methods),
-                    nmse_cutoff=nmse_cutoff,
-                    master_seed=master_seed,
-                    bits=bits,
-                )
-            )
-
-    if workers == 1:
-        per_column = [_sweep_column(column) for column in columns]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_column = list(pool.map(_sweep_column, columns, chunksize=1))
+    deltas = [
+        float(delta)
+        for delta in np.arange(delta_step, 1.0 + 1e-12, delta_step)
+        if 1 <= int(round(delta * n)) <= n
+    ]
+    column = functools.partial(
+        _sweep_column,
+        n=n,
+        rho_step=rho_step,
+        trials=trials,
+        methods=tuple(methods),
+        nmse_cutoff=nmse_cutoff,
+        master_seed=master_seed,
+        bits=bits,
+    )
+    per_column = _map(column, deltas, workers, chunksize=1)
     return tuple(cell for cells in per_column for cell in cells)
 
 
@@ -602,17 +534,23 @@ class TuningObjective:
         noise_mode: str = "artificial-correlated",
         bits: int = 1,
     ):
-        if noise_mode not in NOISE_MODES:
-            raise ValueError(
-                f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}"
-            )
+        # The grid's config of this point validates the same inputs.
+        ExperimentConfig(
+            grid=((n, m, k),),
+            trials=trials,
+            noise_mode=noise_mode,
+            methods=("bpdn",),
+            master_seed=master_seed,
+            bits=bits,
+            alpha=alpha,
+        )
         self.n, self.m, self.k = int(n), int(m), int(k)
         self.trials = int(trials)
         self.master_seed = int(master_seed)
         self.noise_mode = noise_mode
         self.bits = int(bits)
-        self.alpha = _default_alpha(noise_mode, bits, alpha)
-        self._quantizer = _design_quantizer(noise_mode, bits)
+        default_alpha, self._quantizer = _design(noise_mode, self.bits)
+        self.alpha = default_alpha if alpha is None else float(alpha)
         self._instances: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray, float]]] = None
         self._solve_cache: Dict[float, List[Tuple[float, float, float]]] = {}
         self.solve_count = 0

@@ -16,29 +16,24 @@ import numpy as np
 
 _FEASIBLE_FLOOR = 1e-9
 
+# Nelder-Mead coefficients (the standard choice) and the initial simplex's
+# relative edge length.
+_REFLECTION = 1.0
+_EXPANSION = 2.0
+_CONTRACTION = 0.5
+_SHRINK = 0.5
+_INIT_SPREAD = 0.2
+
 
 @dataclass(frozen=True)
 class SimplexConfig:
-    """Nelder-Mead coefficients, initial simplex, and stopping controls."""
+    """Initial point and stopping controls of the simplex search."""
 
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     init_point: Tuple[float, float] = (1.0, 1.0)
-    init_spread: float = 0.2
     tol: float = 1e-3
     max_evals: int = 400
 
     def __post_init__(self):
-        if not self.reflection > 0.0:
-            raise ValueError(f"reflection must be > 0, got {self.reflection}")
-        if not self.expansion > 1.0:
-            raise ValueError(f"expansion must be > 1, got {self.expansion}")
-        if not 0.0 < self.contraction < 1.0:
-            raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must be in (0, 1), got {self.shrink}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_evals < 3:
@@ -73,9 +68,9 @@ def minimize(
         raise ValueError(f"init_point must be a (beta, epsilon) pair, got {config.init_point}")
     vertices = [base]
     for i in range(2):
-        step = config.init_spread * base[i]
-        if step < config.init_spread * 1e-6:
-            step = config.init_spread
+        step = _INIT_SPREAD * base[i]
+        if step < _INIT_SPREAD * 1e-6:
+            step = _INIT_SPREAD
         shifted = base.copy()
         shifted[i] += step
         vertices.append(_clamp(shifted))
@@ -93,13 +88,13 @@ def minimize(
             break
 
         centroid = (vertices[0] + vertices[1]) / 2.0
-        reflected = _clamp(centroid + config.reflection * (centroid - worst))
+        reflected = _clamp(centroid + _REFLECTION * (centroid - worst))
         f_reflected = call(reflected)
         if values[0] <= f_reflected < values[1]:
             vertices[-1], values[-1] = reflected, f_reflected
             continue
         if f_reflected < values[0]:
-            expanded = _clamp(centroid + config.expansion * (reflected - centroid))
+            expanded = _clamp(centroid + _EXPANSION * (reflected - centroid))
             f_expanded = call(expanded)
             if f_expanded < f_reflected:
                 vertices[-1], values[-1] = expanded, f_expanded
@@ -107,19 +102,19 @@ def minimize(
                 vertices[-1], values[-1] = reflected, f_reflected
             continue
         if f_reflected < values[-1]:
-            contracted = _clamp(centroid + config.contraction * (reflected - centroid))
+            contracted = _clamp(centroid + _CONTRACTION * (reflected - centroid))
             f_contracted = call(contracted)
             if f_contracted <= f_reflected:
                 vertices[-1], values[-1] = contracted, f_contracted
                 continue
         else:
-            contracted = _clamp(centroid + config.contraction * (worst - centroid))
+            contracted = _clamp(centroid + _CONTRACTION * (worst - centroid))
             f_contracted = call(contracted)
             if f_contracted < values[-1]:
                 vertices[-1], values[-1] = contracted, f_contracted
                 continue
         for i in (1, 2):
-            vertices[i] = _clamp(best + config.shrink * (vertices[i] - best))
+            vertices[i] = _clamp(best + _SHRINK * (vertices[i] - best))
             values[i] = call(vertices[i])
 
     order = np.argsort(values, kind="stable")

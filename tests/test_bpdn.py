@@ -402,7 +402,7 @@ def test_post_scaled_l1_norm_scales_inversely():
 
 def test_post_scaled_beta_validation():
     problem = BpdnProblem(np.eye(3), np.ones(3), 0.1)
-    for beta in (0.0, -1.0):
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             solve_post_scaled(problem, beta)
 

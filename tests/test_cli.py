@@ -145,6 +145,19 @@ def test_solve_missing_alpha_for_scaled_method_exits_one(capsys, tmp_path, solve
     assert "alpha" in stderr
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_solve_non_finite_alpha_exits_one(capsys, tmp_path, solve_files, alpha):
+    matrix, yfile, _, noise_norm = solve_files
+    code, _, stderr = run_cli(
+        capsys, "solve", "--matrix", matrix, "--y", yfile,
+        "--method", "bpdn-scale", "--alpha", alpha, "--epsilon", str(noise_norm),
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "finite" in stderr
+    assert not (tmp_path / "x-solution.csv").exists()
+
+
 def test_solve_rejects_bad_epsilon_and_mismatched_dimensions(capsys, tmp_path, solve_files):
     matrix, yfile, _, _ = solve_files
     code, _, stderr = run_cli(
@@ -371,6 +384,18 @@ def test_optimize_improves_on_matched_parameters(capsys, tmp_path):
     assert row["nmse_at_optimum"] <= row["nmse_at_alpha"]
     assert row["beta"] > 0.0 and row["epsilon"] > 0.0
     assert row["beta_over_alpha"] == pytest.approx(row["beta"] / row["alpha"], rel=1e-12)
+
+
+@pytest.mark.parametrize("trials, k", [("0", "2"), ("4", "0")])
+def test_optimize_rejects_bad_point_exits_one(capsys, tmp_path, trials, k):
+    out = tmp_path / "tuned.json"
+    code, _, stderr = run_cli(
+        capsys, "optimize-beta-epsilon", "--m", "32", "--k", k, "--n", "64",
+        "--trials", trials, "--out", str(out),
+    )
+    assert code == 1
+    assert "optimize-beta-epsilon: error" in stderr
+    assert not out.exists()
 
 
 def test_workers_validation(capsys, tmp_path):

@@ -196,6 +196,22 @@ def test_phase_sweep_skips_empty_cells_and_stops_past_cutoff():
                 assert exceeded == [rhos[-1]]
 
 
+def test_phase_sweep_cells_record_the_swept_coordinates():
+    # At n = 16 the swept delta = 0.3 gives m = 5, so m/n = 0.3125; each cell
+    # must carry the swept (delta, rho), not (m/n, k/m).
+    deltas = [float(d) for d in np.arange(0.3, 1.0 + 1e-12, 0.3)]
+    rhos = [float(r) for r in np.arange(0.3, 1.0 + 1e-12, 0.3)]
+    cells = run_phase_sweep(
+        delta_step=0.3, rho_step=0.3, trials=2, n=16, master_seed=3
+    )
+    assert {c.delta for c in cells} == set(deltas)
+    for cell in cells:
+        assert cell.delta != cell.m / cell.n
+        assert cell.m == round(cell.delta * 16)
+        assert cell.rho in rhos
+        assert cell.k == round(cell.rho * cell.m)
+
+
 # Four delta columns; at this seed the first two stop at the cutoff before
 # rho reaches 1 and the last two run to the top.
 POOLED_SWEEP = dict(delta_step=0.25, rho_step=0.25, trials=2, n=16, master_seed=3)
@@ -236,8 +252,7 @@ def test_phase_sweep_designs_each_quantizer_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "design_lloyd_max", counting)
-    experiments._default_alpha.cache_clear()
-    experiments._design_quantizer.cache_clear()
+    experiments._design.cache_clear()
     cells = run_phase_sweep(**POOLED_SWEEP, workers=1)
     assert len({c.delta for c in cells}) >= 3
     assert len({(c.delta, c.rho) for c in cells}) > 2
@@ -400,6 +415,9 @@ def test_tuning_objective_rejects_infeasible_points_with_inf():
 def test_tuning_objective_validation():
     with pytest.raises(ValueError):
         tuning_objective(m=32, k=2, trials=2, master_seed=0, noise_mode="other")
+    for bad in ({"trials": 0}, {"k": 0}, {"k": 33}):
+        with pytest.raises(ValueError):
+            tuning_objective(**{**dict(m=32, k=2, trials=2, master_seed=0), **bad})
 
 
 def test_config_validation():

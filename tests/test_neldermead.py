@@ -75,18 +75,6 @@ def test_init_point_must_be_a_pair():
 
 def test_coefficient_validation():
     with pytest.raises(ValueError):
-        SimplexConfig(reflection=0.0)
-    with pytest.raises(ValueError):
-        SimplexConfig(expansion=1.0)
-    with pytest.raises(ValueError):
-        SimplexConfig(contraction=0.0)
-    with pytest.raises(ValueError):
-        SimplexConfig(contraction=1.0)
-    with pytest.raises(ValueError):
-        SimplexConfig(shrink=0.0)
-    with pytest.raises(ValueError):
-        SimplexConfig(shrink=1.0)
-    with pytest.raises(ValueError):
         SimplexConfig(tol=0.0)
     with pytest.raises(ValueError):
         SimplexConfig(max_evals=2)

@@ -10,6 +10,8 @@ own `src`:
   `--workers 1` and `2` (CSV, three manifests and plot script each);
 - `reproduce --figure fig5 --scale desk` at `--trials 1` and `3`, each at
   `--workers 1` and `2` (CSV, manifest and plot script);
+- `phase-sweep --n 64 --trials 2` at `--workers 1` and `2` (CSV and
+  manifest);
 - `optimize-beta-epsilon --m 400 --k 41 --bits 1 --trials 3` on seeds 0-9.
 
 For each file the script prints "equal", or the largest relative difference
@@ -47,6 +49,10 @@ def recipes() -> list:
             out.append((f"fig5-trials{trials}-workers{workers}",
                         ["reproduce", "--figure", "fig5", "--scale", "desk",
                          "--trials", str(trials), "--workers", str(workers)], True))
+    for workers in (1, 2):
+        out.append((f"phase-sweep-n64-trials2-workers{workers}",
+                    ["phase-sweep", "--n", "64", "--trials", "2",
+                     "--workers", str(workers)], True))
     for seed in range(10):
         out.append((f"tune-seed{seed}",
                     ["optimize-beta-epsilon", "--m", "400", "--k", "41", "--bits", "1",
