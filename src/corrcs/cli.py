@@ -167,7 +167,7 @@ def _flagged_exit(points: Sequence[GridPointResult]) -> int:
     return 0
 
 
-def _sweep(out_dir: str, name: str, params: dict, workers: int):
+def _sweep(out_dir: str, name: str, params: dict, workers: int) -> tuple:
     """Run a phase sweep on params (recorded in its manifest) and write
     `name`.csv and `name`-manifest.json; returns the CSV path and the cells."""
     cells = run_phase_sweep(workers=workers, **params)

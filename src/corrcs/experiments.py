@@ -397,8 +397,8 @@ def run_experiments(
             alpha = float(config.alpha)
         depths.append((alpha, quantizer))
     jobs = [(point, trial) for point in first.grid for trial in range(first.trials)]
-    trial = functools.partial(_run_trial, first, tuple(depths))
-    outcomes = _map(trial, jobs, workers, chunksize=8)
+    run_job = functools.partial(_run_trial, first, tuple(depths))
+    outcomes = _map(run_job, jobs, workers, chunksize=8)
 
     results: List[ExperimentResult] = []
     for depth, config in enumerate(configs):
@@ -534,7 +534,7 @@ class TuningObjective:
         noise_mode: str = "artificial-correlated",
         bits: int = 1,
     ):
-        # The grid's config of this point validates the same inputs.
+        # Validate the inputs as the grid's config of this point would.
         ExperimentConfig(
             grid=((n, m, k),),
             trials=trials,
