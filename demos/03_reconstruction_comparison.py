@@ -25,7 +25,7 @@ from corrcs.siggen import InstanceConfig, generate_ensemble, generate_signal, pu
 
 n, m, k = 1000, 400, 41
 cfg = InstanceConfig(n=n, m=m, k=k, master_seed=42, trial_index=0)
-x = generate_signal(cfg, purpose_rng(cfg, "signal")).values
+x = generate_signal(cfg, purpose_rng(cfg, "signal"))
 a = generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
 ybar = a @ x
 print(f"instance: N={n}, M={m}, K={k}, ||x|| = {np.linalg.norm(x):.4f}")

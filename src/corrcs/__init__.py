@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .model import (
     NoiseSpec,
     SensingEnsemble,
-    SparseSignal,
     correlated_noise_variance,
 )
 from .siggen import (
@@ -75,7 +74,6 @@ __all__ = [
     "__version__",
     "NoiseSpec",
     "SensingEnsemble",
-    "SparseSignal",
     "correlated_noise_variance",
     "BENCHMARK_N",
     "InstanceConfig",

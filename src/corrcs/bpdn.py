@@ -37,6 +37,7 @@ _STEP_MIN = 1e-16
 _STEP_MAX = 1e16
 _LINE_GAMMA = 1e-4
 _LINE_ITERS = 10
+_MAX_MATVEC = 10_000
 _EPS = float(np.finfo(float).eps)
 
 
@@ -194,7 +195,7 @@ def _line_feasible(f0, x, d, gtd, fmax, a, y):
             step = quad
 
 
-def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
+def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     """Solve the l1 recovery problem to the fidelity radius of `problem`.
 
     On a converged report the residual satisfies
@@ -206,8 +207,9 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
     1e-6 relative to the objective or, when rounding noise in the gap
     evaluation floors above that, until no descent step exists at working
     precision — the residual of such a polished iterate is exact and is fed
-    back to the root update. When the matrix-vector or root-update budget runs
-    out first, converged=False and the report carries the best iterate seen.
+    back to the root update. When the fixed budget (_MAX_MATVEC = 10,000
+    matrix-vector products, 200 root updates) runs out first, converged=False
+    and the report carries the best iterate seen.
     """
     a = problem.system_matrix
     y = problem.observed
@@ -284,7 +286,7 @@ def solve_bpdn(problem: BpdnProblem, max_matvec: int = 10_000) -> SolverReport:
         if sub_opt and in_band:
             converged = True
             break
-        if matvecs >= max_matvec or newton_steps >= max_newton:
+        if matvecs >= _MAX_MATVEC or newton_steps >= max_newton:
             break
 
         f_change = abs(f - f_prev)
@@ -438,9 +440,7 @@ def _init_step(x, g, tau, step_max, last):
     return min(step_max, max(_STEP_MIN, 1.0 / dx_norm)), last
 
 
-def solve_scaled_matrix(
-    problem: BpdnProblem, alpha: float, max_matvec: int = 10_000
-) -> SolverReport:
+def solve_scaled_matrix(problem: BpdnProblem, alpha: float) -> SolverReport:
     """Correlation-corrected recovery with the constraint matrix replaced by alpha*A.
 
     The scaled problem min ||z||_1 s.t. ||y - alpha*A z||_2 <= epsilon is built
@@ -453,12 +453,10 @@ def solve_scaled_matrix(
         observed=problem.observed,
         epsilon=problem.epsilon,
     )
-    return solve_bpdn(scaled, max_matvec=max_matvec)
+    return solve_bpdn(scaled)
 
 
-def solve_post_scaled(
-    problem: BpdnProblem, beta: float, max_matvec: int = 10_000
-) -> SolverReport:
+def solve_post_scaled(problem: BpdnProblem, beta: float) -> SolverReport:
     """Solve the unscaled problem, then divide the solution by beta.
 
     beta equal to the noise-model gain alpha is the matched correction; other
@@ -466,7 +464,7 @@ def solve_post_scaled(
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    inner = solve_bpdn(problem, max_matvec=max_matvec)
+    inner = solve_bpdn(problem)
     solution = inner.solution / beta
     residual = problem.observed - problem.system_matrix @ solution
     return SolverReport(

@@ -24,6 +24,7 @@ from .bpdn import BpdnProblem, SolverReport, epsilon_rule, solve_bpdn, solve_pos
 from .experiments import (
     ExperimentConfig,
     GridPointResult,
+    _design,
     run_experiments,
     run_phase_sweep,
     tuning_objective,
@@ -184,12 +185,11 @@ def _cmd_reproduce(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if figure == "table1":
-        alphas = {}
-        for design, builder in (("lloyd-max", design_lloyd_max), ("uniform", design_uniform_mmse)):
-            alphas[design] = {
-                str(bits): gain_model_analytic(builder(bits, 1.0), 1.0).alpha
-                for bits in _BENCHMARK_BITS
-            }
+        alphas = {
+            design: {str(bits): _design(mode, bits)[0] for bits in _BENCHMARK_BITS}
+            for design, mode in (("lloyd-max", _FIGURE_MODES["fig3"]),
+                                 ("uniform", _FIGURE_MODES["fig4"]))
+        }
         path = os.path.join(args.out, "table1.json")
         _write_json(path, {"correlation_gain": alphas, "library_version": __version__})
         print(path)
@@ -354,7 +354,7 @@ def _cmd_solve(args) -> int:
         else:
             alpha = args.alpha
             if alpha is None and args.bits is not None:
-                alpha = gain_model_analytic(design_lloyd_max(args.bits, 1.0), 1.0).alpha
+                alpha = _design("lloyd-max-quantized", args.bits)[0]
             if alpha is None:
                 raise ValueError("--alpha (or --bits) is required for method bpdn-scale")
             report = solve_post_scaled(problem, alpha)

@@ -76,7 +76,6 @@ from .siggen import InstanceConfig, generate_ensemble, generate_signal, purpose_
 
 NOISE_MODES = ("artificial-correlated", "lloyd-max-quantized", "uniform-quantized")
 METHODS = ("bpdn", "bpdn-scale", "bpdn-beta", "biht")
-EPSILON_MODES = ("rule", "explicit")
 
 CSV_HEADER = (
     "n,m,k,delta,rho,method,noise_mode,bits,trials,mean_nmse,ci99,nonconverged"
@@ -85,7 +84,7 @@ CSV_HEADER = (
 # Two-sided 99% normal quantile for confidence-interval half-widths.
 CI99_FACTOR = float(ndtri(0.995))
 
-MANIFEST_FORMAT = "corrcs-manifest/1"
+MANIFEST_FORMAT = "corrcs-manifest/2"
 
 #: Fraction of non-converged trials above which a grid point is flagged.
 NONCONVERGED_FLAG_FRACTION = 0.01
@@ -117,7 +116,12 @@ def improvement_db(p_baseline: float, p_method: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to rerun an experiment bit-identically."""
+    """Everything needed to rerun an experiment bit-identically.
+
+    explicit_epsilon=None sizes each method's radius by the radius rule. A
+    value, read at the reference scale sqrt(K/M) and rescaled to each trial's
+    signal power like everything else, is every method's radius instead.
+    """
 
     grid: Tuple[Tuple[int, int, int], ...]
     trials: int
@@ -125,9 +129,6 @@ class ExperimentConfig:
     methods: Tuple[str, ...]
     master_seed: int
     bits: int = 1
-    alpha: Optional[float] = None
-    sigma_w_sq: Optional[float] = None
-    epsilon_mode: str = "rule"
     explicit_epsilon: Optional[float] = None
     beta: Optional[float] = None
     normalize_signals: bool = False
@@ -155,23 +156,9 @@ class ExperimentConfig:
                 raise ValueError(f"method must be one of {METHODS}, got {method!r}")
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.sigma_w_sq is not None:
-            if self.alpha is None:
-                raise ValueError("sigma_w_sq requires an explicit alpha")
-            if self.sigma_w_sq < 0.0:
-                raise ValueError(f"sigma_w_sq must be >= 0, got {self.sigma_w_sq}")
-            if self.noise_mode != "artificial-correlated":
-                raise ValueError("sigma_w_sq only applies to artificial-correlated")
-        if self.epsilon_mode not in EPSILON_MODES:
-            raise ValueError(
-                f"epsilon_mode must be one of {EPSILON_MODES}, got {self.epsilon_mode!r}"
-            )
-        if self.epsilon_mode == "explicit" and (
-            self.explicit_epsilon is None or self.explicit_epsilon < 0.0
-        ):
-            raise ValueError("explicit epsilon_mode requires explicit_epsilon >= 0")
+        eps = self.explicit_epsilon
+        if eps is not None and not 0.0 <= eps < np.inf:
+            raise ValueError(f"explicit_epsilon must be finite and >= 0, got {eps}")
         if "bpdn-beta" in self.methods and (self.beta is None or not self.beta > 0.0):
             raise ValueError("method bpdn-beta requires beta > 0")
 
@@ -220,10 +207,9 @@ def _design(noise_mode: str, bits: int) -> Tuple[float, Optional[ScalarQuantizer
     quantizer of the mode and its analytic correlation gain.
 
     Artificial mode mimics Lloyd-Max statistics: it takes the Lloyd-Max alpha
-    and measures without a quantizer (None). Callers apply an explicit alpha
-    themselves. Memoised per process, so each (mode, bits) is designed once;
-    the quantizer is frozen with read-only arrays, so every caller can share
-    one instance.
+    and measures without a quantizer (None). Memoised per process, so each
+    (mode, bits) is designed once; the quantizer is frozen with read-only
+    arrays, so every caller can share one instance.
     """
     if noise_mode == "uniform-quantized":
         q = design_uniform_mmse(bits, 1.0)
@@ -242,7 +228,7 @@ def draw_instance(
     (master_seed, trial_index), so the draw does not depend on the bit depth,
     the noise mode or the caller.
     """
-    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize).values
+    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
     a = generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
     return x, a, a @ x, float(x @ x) / cfg.m
 
@@ -253,20 +239,16 @@ def measure(
     sigma_t_sq: float,
     alpha: float,
     quantizer: Optional[ScalarQuantizer],
-    sigma_w_sq: Optional[float] = None,
 ) -> np.ndarray:
     """Measurements y of a drawn instance at one bit depth.
 
     Without a quantizer (artificial-correlated mode) y = alpha*ybar + w, with
-    w white of variance alpha*(1-alpha)*sigma_t^2, or sigma_w_sq*sigma_t^2
-    when given, drawn from a freshly seeded noise stream, so every depth of a
-    trial sees the same white draw. With one, y = sigma_t * Q(ybar / sigma_t).
+    w white of variance alpha*(1-alpha)*sigma_t^2 drawn from a freshly seeded
+    noise stream, so every depth of a trial sees the same white draw. With
+    one, y = sigma_t * Q(ybar / sigma_t).
     """
     if quantizer is None:
-        if sigma_w_sq is None:
-            sigma_w = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
-        else:
-            sigma_w = float(np.sqrt(sigma_w_sq * sigma_t_sq))
+        sigma_w = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
         return alpha * ybar + purpose_rng(cfg, "noise").normal(0.0, sigma_w, cfg.m)
     sigma_t = float(np.sqrt(sigma_t_sq))
     return sigma_t * quantize(quantizer, ybar / sigma_t)
@@ -290,12 +272,10 @@ def _run_trial(
     sigma_t = float(np.sqrt(sigma_t_sq))
     outcomes: List[Dict[str, Tuple[float, bool]]] = []
     for alpha, quantizer in depths:
-        y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer, config.sigma_w_sq)
+        y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer)
         sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
         sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
-        if config.epsilon_mode == "explicit":
-            # The explicit radius is interpreted at the ensemble reference
-            # scale sqrt(K/M) and follows the per-trial gain like everything else.
+        if config.explicit_epsilon is not None:
             scale = sigma_t / float(np.sqrt(k / m))
             eps_bpdn = eps_scaled = float(config.explicit_epsilon) * scale
         else:
@@ -390,14 +370,9 @@ def run_experiments(
     for config in configs[1:]:
         if replace(config, bits=first.bits) != first:
             raise ValueError("configs passed together may differ only in bits")
-    depths = []
-    for config in configs:
-        alpha, quantizer = _design(config.noise_mode, config.bits)
-        if config.alpha is not None:
-            alpha = float(config.alpha)
-        depths.append((alpha, quantizer))
+    depths = tuple(_design(config.noise_mode, config.bits) for config in configs)
     jobs = [(point, trial) for point in first.grid for trial in range(first.trials)]
-    run_job = functools.partial(_run_trial, first, tuple(depths))
+    run_job = functools.partial(_run_trial, first, depths)
     outcomes = _map(run_job, jobs, workers, chunksize=8)
 
     results: List[ExperimentResult] = []
@@ -488,6 +463,8 @@ def run_phase_sweep(
         raise ValueError("delta_step and rho_step must be in (0, 1]")
     if not nmse_cutoff > 0.0:
         raise ValueError(f"nmse_cutoff must be > 0, got {nmse_cutoff}")
+    if n < 1 or not methods:
+        raise ValueError(f"need n >= 1 and a method, got n={n}, methods={methods!r}")
     for method in methods:
         if method not in ("bpdn-scale", "biht"):
             raise ValueError(f"phase sweep supports bpdn-scale and biht, got {method!r}")
@@ -530,7 +507,6 @@ class TuningObjective:
         trials: int,
         master_seed: int,
         n: int = 1000,
-        alpha: Optional[float] = None,
         noise_mode: str = "artificial-correlated",
         bits: int = 1,
     ):
@@ -542,15 +518,13 @@ class TuningObjective:
             methods=("bpdn",),
             master_seed=master_seed,
             bits=bits,
-            alpha=alpha,
         )
         self.n, self.m, self.k = int(n), int(m), int(k)
         self.trials = int(trials)
         self.master_seed = int(master_seed)
         self.noise_mode = noise_mode
         self.bits = int(bits)
-        default_alpha, self._quantizer = _design(noise_mode, self.bits)
-        self.alpha = default_alpha if alpha is None else float(alpha)
+        self.alpha, self._quantizer = _design(noise_mode, self.bits)
         self._instances: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray, float]]] = None
         self._solve_cache: Dict[float, List[Tuple[float, float, float]]] = {}
         self.solve_count = 0
@@ -609,7 +583,6 @@ def tuning_objective(
     trials: int,
     master_seed: int,
     n: int = 1000,
-    alpha: Optional[float] = None,
     noise_mode: str = "artificial-correlated",
     bits: int = 1,
 ) -> TuningObjective:
@@ -620,7 +593,6 @@ def tuning_objective(
         trials=trials,
         master_seed=master_seed,
         n=n,
-        alpha=alpha,
         noise_mode=noise_mode,
         bits=bits,
     )

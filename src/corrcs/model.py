@@ -1,4 +1,4 @@
-"""Core measurement model: sparse signals, the sensing matrix, correlated noise.
+"""Core measurement model: input checks, the sensing matrix, correlated noise.
 
 The signal is sparse in the canonical basis, so the measurements use the
 sensing matrix A directly. The noise model is y = alpha * ybar + w, where
@@ -35,27 +35,6 @@ def _as_float_matrix(m, name: str) -> np.ndarray:
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (no NaN or inf)")
-
-
-@dataclass(frozen=True)
-class SparseSignal:
-    """Ground-truth vector of length N with exactly `sparsity` nonzero entries."""
-
-    values: np.ndarray
-    sparsity: int
-
-    def __post_init__(self):
-        values = _as_float_vector(self.values, "values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        n = values.size
-        if n < 1:
-            raise ValueError("signal length must be at least 1")
-        if not 0 <= self.sparsity <= n:
-            raise ValueError(f"sparsity must lie in [0, {n}], got {self.sparsity}")
-        nnz = int(np.count_nonzero(values))
-        if nnz != self.sparsity:
-            raise ValueError(f"signal has {nnz} nonzero entries, expected {self.sparsity}")
 
 
 @dataclass(frozen=True)

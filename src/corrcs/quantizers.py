@@ -60,6 +60,8 @@ class ScalarQuantizer:
             raise ValueError(
                 f"expected {n_levels - 1} thresholds, got shape {thresholds.shape}"
             )
+        if not (np.isfinite(thresholds).all() and np.isfinite(levels).all()):
+            raise ValueError("thresholds and levels must be finite")
         if np.any(np.diff(thresholds) <= 0):
             raise ValueError("thresholds must be strictly increasing")
         if np.any(np.diff(levels) <= 0):
@@ -261,8 +263,8 @@ def design_uniform_mmse(bits: int, sigma: float) -> ScalarQuantizer:
 def _check_design_args(bits: int, sigma: float) -> None:
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must lie in [1, 16], got {bits}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -304,8 +306,8 @@ def fit_gain_model(
     q = Q(ybar) - ybar, and returns alpha = 1 - sigma_q^2/sigma_ybar^2 using
     the sample second moments.
     """
-    if sigma_ybar_sq <= 0.0:
-        raise ValueError("sigma_ybar_sq must be positive")
+    if not 0.0 < sigma_ybar_sq < np.inf:
+        raise ValueError(f"sigma_ybar_sq must be positive and finite, got {sigma_ybar_sq}")
     if sample_count < 10_000:
         raise ValueError(f"sample_count must be >= 10000, got {sample_count}")
     ybar = rng.normal(0.0, np.sqrt(sigma_ybar_sq), size=sample_count)
@@ -328,8 +330,8 @@ def gain_model_analytic(q: ScalarQuantizer, sigma_ybar_sq: float) -> GainModelFi
     sigma_q^2 is the exact expected squared quantization error, so alpha is
     deterministic; sample_count is recorded as 0.
     """
-    if sigma_ybar_sq <= 0.0:
-        raise ValueError("sigma_ybar_sq must be positive")
+    if not 0.0 < sigma_ybar_sq < np.inf:
+        raise ValueError(f"sigma_ybar_sq must be positive and finite, got {sigma_ybar_sq}")
     sigma = np.sqrt(sigma_ybar_sq)
     sq = _expected_distortion(q.thresholds, q.levels, sigma)
     alpha = 1.0 - sq / sigma_ybar_sq

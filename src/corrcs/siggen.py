@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SensingEnsemble, SparseSignal
+from .model import SensingEnsemble
 
 # Measurement-count / sparsity pairs of the N=1000 benchmark grid.
 BENCHMARK_N = 1000
@@ -63,7 +63,7 @@ def purpose_rng(config: InstanceConfig, purpose: str) -> np.random.Generator:
 
 def generate_signal(
     config: InstanceConfig, rng: np.random.Generator, normalize: bool = False
-) -> SparseSignal:
+) -> np.ndarray:
     """K-sparse signal: support uniform without replacement, values standard normal.
 
     With normalize=True the signal is scaled to unit l2 norm (the convention
@@ -80,7 +80,7 @@ def generate_signal(
         if normalize:
             nonzeros = nonzeros / np.linalg.norm(nonzeros)
         values[support] = nonzeros
-    return SparseSignal(values=values, sparsity=config.k)
+    return values
 
 
 def generate_ensemble(config: InstanceConfig, rng: np.random.Generator) -> SensingEnsemble:

@@ -295,6 +295,18 @@ def test_quantizer_zero_bits_exits_one(capsys, tmp_path):
     assert "bits" in stderr
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_quantizer_non_finite_sigma_exits_one(capsys, tmp_path, sigma):
+    out = tmp_path / "q.json"
+    code, _, stderr = run_cli(
+        capsys, "quantizer", "--design", "lloyd-max", "--bits", "1",
+        "--sigma", sigma, "--out", str(out),
+    )
+    assert code == 1
+    assert "sigma" in stderr
+    assert not out.exists()
+
+
 def test_reproduce_table1_alphas(capsys, tmp_path):
     code, stdout, _ = run_cli(
         capsys, "reproduce", "--figure", "table1", "--seed", "1",
@@ -370,6 +382,16 @@ def test_phase_sweep_rejects_unknown_method(capsys, tmp_path):
     )
     assert code == 1
     assert "bpdn" in stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--methods", "")])
+def test_phase_sweep_without_cells_exits_one(capsys, tmp_path, flag, value):
+    code, _, stderr = run_cli(
+        capsys, "phase-sweep", flag, value, "--trials", "1", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "phase-sweep: error" in stderr
+    assert not (tmp_path / "phase-sweep.csv").exists()
 
 
 def test_optimize_improves_on_matched_parameters(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: scoring, aggregation, sweeps, persistence, tuning."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -155,6 +156,19 @@ def test_manifest_roundtrip(tmp_path):
     path = str(tmp_path / "run.json")
     write_manifest(path, result)
     assert read_manifest(path) == result
+
+
+def test_manifest_of_the_previous_format_is_rejected(tmp_path):
+    # format 1 also held the alpha, sigma_w_sq and epsilon_mode config keys
+    result = run_experiment(ExperimentConfig(**SMALL))
+    path = tmp_path / "run.json"
+    write_manifest(str(path), result)
+    payload = json.loads(path.read_text())
+    payload["format"] = "corrcs-manifest/1"
+    payload["config"].update(alpha=None, sigma_w_sq=None, epsilon_mode="rule")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="manifest format"):
+        read_manifest(str(path))
 
 
 def test_sweep_manifest_roundtrip_and_kind_check(tmp_path):
@@ -334,6 +348,10 @@ def test_phase_sweep_validation():
     with pytest.raises(ValueError):
         run_phase_sweep(methods=("bpdn",))
     with pytest.raises(ValueError):
+        run_phase_sweep(methods=())
+    with pytest.raises(ValueError):
+        run_phase_sweep(n=0)
+    with pytest.raises(ValueError):
         run_phase_sweep(workers=0)
 
 
@@ -368,7 +386,6 @@ def test_tuning_objective_matches_direct_scaled_recovery():
         methods=("bpdn-beta",),
         master_seed=7,
         beta=0.8,
-        epsilon_mode="explicit",
         explicit_epsilon=eps0,
     )
     direct = run_experiment(config).points[0].mean_nmse
@@ -397,7 +414,6 @@ def test_tuning_objective_solves_the_grids_problems(monkeypatch):
         methods=("bpdn-beta",),
         master_seed=7,
         beta=0.8,
-        epsilon_mode="explicit",
         explicit_epsilon=eps0,
     )
     run_experiment(config)
@@ -438,25 +454,9 @@ def test_config_validation():
         ExperimentConfig(**{**good, "methods": ("lasso",)})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "bits": 0})
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "alpha": 1.5})
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "sigma_w_sq": 0.1})
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "alpha": 0.5, "sigma_w_sq": -0.1})
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            **{
-                **good,
-                "alpha": 0.5,
-                "sigma_w_sq": 0.1,
-                "noise_mode": "lloyd-max-quantized",
-            }
-        )
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "epsilon_mode": "magic"})
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "epsilon_mode": "explicit"})
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{**good, "explicit_epsilon": bad})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "methods": ("bpdn-beta",)})
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from corrcs.experiments import measure
 from corrcs.model import (
     NoiseSpec,
     SensingEnsemble,
-    SparseSignal,
     correlated_noise_variance,
 )
 from corrcs.siggen import InstanceConfig
@@ -47,19 +46,6 @@ def test_empirical_total_noise_variance_within_one_percent():
     spec = NoiseSpec(alpha, alpha * (1.0 - alpha) * sigma_t_sq, sigma_t_sq)
     noise = y - ybar
     assert np.var(noise) == pytest.approx(correlated_noise_variance(spec), rel=0.01)
-
-
-def test_sparse_signal_validates_nonzero_count():
-    with pytest.raises(ValueError):
-        SparseSignal(np.array([1.0, 0.0, 2.0]), 3)
-    with pytest.raises(ValueError):
-        SparseSignal(np.array([1.0, 0.0]), -1)
-
-
-def test_sparse_signal_immutable():
-    signal = SparseSignal(np.array([1.0, 0.0]), 1)
-    with pytest.raises(ValueError):
-        signal.values[0] = 5.0
 
 
 def test_ensemble_validates_product_and_orthonormality():

@@ -140,8 +140,11 @@ def test_fit_gain_model_input_validation():
         fit_gain_model(q, 0.0, 10**5, rng)
     with pytest.raises(ValueError):
         fit_gain_model(q, 1.0, 100, rng)
-    with pytest.raises(ValueError):
-        gain_model_analytic(q, -1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            gain_model_analytic(q, bad)
+        with pytest.raises(ValueError):
+            fit_gain_model(q, bad, 10**5, rng)
 
 
 def test_design_input_validation():
@@ -150,8 +153,9 @@ def test_design_input_validation():
             builder(0, 1.0)
         with pytest.raises(ValueError):
             builder(17, 1.0)
-        with pytest.raises(ValueError):
-            builder(3, 0.0)
+        for sigma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                builder(3, sigma)
 
 
 def test_quantizer_type_invariants():
@@ -171,6 +175,11 @@ def test_quantizer_type_invariants():
             thresholds=np.array([-1.0, 0.0, 1.0]),
             levels=np.array([-2.0, 0.5, 0.7, 2.0]),
             resolution_bits=2,
+        )
+    with pytest.raises(ValueError):  # a non-finite level, as outside JSON can hold
+        ScalarQuantizer(
+            thresholds=np.array([0.0]), levels=np.array([np.nan, 1.0]),
+            resolution_bits=1,
         )
 
 

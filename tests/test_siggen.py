@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcs.siggen import (
     BENCHMARK_N,
@@ -20,33 +22,54 @@ def _cfg(n=1000, m=200, k=1, seed=42, trial=0):
 def test_signal_zero_sparsity_gives_zero_vector():
     cfg = _cfg(n=50, m=10, k=0)
     x = generate_signal(cfg, purpose_rng(cfg, "signal"))
-    assert np.array_equal(x.values, np.zeros(50))
-    assert x.sparsity == 0
+    assert np.array_equal(x, np.zeros(50))
 
 
 def test_signal_full_sparsity_is_dense():
     cfg = _cfg(n=40, m=40, k=40)
     x = generate_signal(cfg, purpose_rng(cfg, "signal"))
-    assert np.count_nonzero(x.values) == 40
+    assert np.count_nonzero(x) == 40
 
 
 def test_first_benchmark_point_has_one_nonzero():
     cfg = _cfg(n=1000, m=200, k=1)
     x = generate_signal(cfg, purpose_rng(cfg, "signal"))
-    assert np.count_nonzero(x.values) == 1
+    assert np.count_nonzero(x) == 1
 
 
 def test_signal_support_size_exact_across_trials():
     for trial in range(20):
         cfg = _cfg(n=120, m=60, k=17, trial=trial)
         x = generate_signal(cfg, purpose_rng(cfg, "signal"))
-        assert np.count_nonzero(x.values) == 17
+        assert np.count_nonzero(x) == 17
 
 
 def test_signal_normalization():
     cfg = _cfg(n=64, m=32, k=5)
     x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=True)
-    assert np.linalg.norm(x.values) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(0, m))
+    seed = draw(st.integers(0, 2**64 - 1))
+    trial = draw(st.integers(0, 2**31))
+    return InstanceConfig(n=n, m=m, k=k, master_seed=seed, trial_index=trial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_instances(), normalize=st.booleans())
+def test_signal_properties(cfg, normalize):
+    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
+    assert x.shape == (cfg.n,)
+    assert np.count_nonzero(x) == cfg.k
+    again = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
+    assert x.tobytes() == again.tobytes()
+    if normalize and cfg.k > 0:
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
 
 def test_ensemble_entry_statistics():
@@ -70,7 +93,7 @@ def test_same_seed_and_trial_bit_identical():
     cfg_b = _cfg(seed=7, trial=3)
     xa = generate_signal(cfg_a, purpose_rng(cfg_a, "signal"))
     xb = generate_signal(cfg_b, purpose_rng(cfg_b, "signal"))
-    assert np.array_equal(xa.values, xb.values)
+    assert np.array_equal(xa, xb)
     ea = generate_ensemble(cfg_a, purpose_rng(cfg_a, "matrix"))
     eb = generate_ensemble(cfg_b, purpose_rng(cfg_b, "matrix"))
     assert np.array_equal(ea.system_matrix, eb.system_matrix)
@@ -81,7 +104,7 @@ def test_different_trials_differ():
     cfg_b = _cfg(seed=7, trial=1)
     xa = generate_signal(cfg_a, purpose_rng(cfg_a, "signal"))
     xb = generate_signal(cfg_b, purpose_rng(cfg_b, "signal"))
-    assert not np.array_equal(xa.values, xb.values)
+    assert not np.array_equal(xa, xb)
 
 
 def test_purpose_streams_are_independent():

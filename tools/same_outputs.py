@@ -12,7 +12,9 @@ own `src`:
   `--workers 1` and `2` (CSV, manifest and plot script);
 - `phase-sweep --n 64 --trials 2` at `--workers 1` and `2` (CSV and
   manifest);
-- `optimize-beta-epsilon --m 400 --k 41 --bits 1 --trials 3` on seeds 0-9.
+- `optimize-beta-epsilon --m 400 --k 41 --bits 1 --trials 3` on seeds 0-9;
+- `reproduce --figure table1`;
+- `quantizer --design lloyd-max|uniform --bits 1|3`.
 
 For each file the script prints "equal", or the largest relative difference
 among the numbers in it (or why the two cannot be compared number by number).
@@ -37,34 +39,41 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
 def recipes() -> list:
-    """(name, CLI arguments, output is a directory) for every run of the set."""
+    """(name, CLI arguments, output file name or None for a directory) for
+    every run of the set."""
     out = []
     for figure in ("fig2", "fig3", "fig4"):
         for workers in (1, 2):
             out.append((f"{figure}-trials2-workers{workers}",
                         ["reproduce", "--figure", figure, "--scale", "desk",
-                         "--trials", "2", "--workers", str(workers)], True))
+                         "--trials", "2", "--workers", str(workers)], None))
     for trials in (1, 3):
         for workers in (1, 2):
             out.append((f"fig5-trials{trials}-workers{workers}",
                         ["reproduce", "--figure", "fig5", "--scale", "desk",
-                         "--trials", str(trials), "--workers", str(workers)], True))
+                         "--trials", str(trials), "--workers", str(workers)], None))
     for workers in (1, 2):
         out.append((f"phase-sweep-n64-trials2-workers{workers}",
                     ["phase-sweep", "--n", "64", "--trials", "2",
-                     "--workers", str(workers)], True))
+                     "--workers", str(workers)], None))
     for seed in range(10):
         out.append((f"tune-seed{seed}",
                     ["optimize-beta-epsilon", "--m", "400", "--k", "41", "--bits", "1",
-                     "--trials", "3", "--seed", str(seed)], False))
+                     "--trials", "3", "--seed", str(seed)], "tune.json"))
+    out.append(("table1", ["reproduce", "--figure", "table1"], None))
+    for design in ("lloyd-max", "uniform"):
+        for bits in (1, 3):
+            out.append((f"quantizer-{design}-bits{bits}",
+                        ["quantizer", "--design", design, "--bits", str(bits)],
+                        "quantizer.json"))
     return out
 
 
-def run(tree: str, name: str, args: list, is_dir: bool, out_root: str) -> int:
+def run(tree: str, name: str, args: list, out_file, out_root: str) -> int:
     """Run one recipe in `tree`, its files landing in `out_root/name`; its exit status."""
     dest = os.path.join(out_root, name)
     os.makedirs(dest)
-    target = dest if is_dir else os.path.join(dest, "tune.json")
+    target = dest if out_file is None else os.path.join(dest, out_file)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-m", "corrcs", *args, "--out", target],
                           cwd=tree, env=env, capture_output=True, text=True)
@@ -98,9 +107,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for side in sides:
             export(commits[side], os.path.join(tmp, side))
-        for name, cli_args, is_dir in recipes():
+        for name, cli_args, out_file in recipes():
             codes = {
-                side: run(os.path.join(tmp, side), name, cli_args, is_dir,
+                side: run(os.path.join(tmp, side), name, cli_args, out_file,
                           os.path.join(tmp, f"{side}-out"))
                 for side in sides
             }
