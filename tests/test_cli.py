@@ -387,7 +387,7 @@ def test_phase_sweep_rejects_unknown_method(capsys, tmp_path):
 @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--methods", "")])
 def test_phase_sweep_without_cells_exits_one(capsys, tmp_path, flag, value):
     code, _, stderr = run_cli(
-        capsys, "phase-sweep", flag, value, "--trials", "1", "--out", str(tmp_path),
+        capsys, "phase-sweep", flag, value, "--out", str(tmp_path),
     )
     assert code == 1
     assert "phase-sweep: error" in stderr
