@@ -11,7 +11,6 @@ variance identities that the reconstruction methods rely on.
 
 import numpy as np
 
-from corrcs.model import NoiseSpec, correlated_noise_variance
 from corrcs.quantizers import (
     design_lloyd_max,
     design_uniform_mmse,
@@ -46,10 +45,10 @@ print(f"1-bit alpha {gain_model_analytic(one_bit, 1.0).alpha:.10f} vs 2/pi = {2 
 sigma_ybar_sq = 2.5
 q3 = design_lloyd_max(3, np.sqrt(sigma_ybar_sq))
 model = gain_model_analytic(q3, sigma_ybar_sq)
-spec = NoiseSpec(alpha=model.alpha, sigma_w_sq=model.sigma_r_sq, sigma_ybar_sq=sigma_ybar_sq)
+total = (model.alpha - 1.0) ** 2 * sigma_ybar_sq + model.sigma_r_sq
 print(f"\n3-bit at sigma_ybar^2 = {sigma_ybar_sq}:")
 print(f"  sigma_q^2 = {model.sigma_q_sq:.6f}")
-print(f"  (alpha-1)^2 sigma_ybar^2 + sigma_r^2 = {correlated_noise_variance(spec):.6f}")
+print(f"  (alpha-1)^2 sigma_ybar^2 + sigma_r^2 = {total:.6f}")
 
 # The same identities hold empirically: quantize a large Gaussian sample and
 # regress the output on the input.

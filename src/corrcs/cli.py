@@ -22,9 +22,11 @@ from . import __version__
 from .biht import BihtProblem, sign_with_positive_zero, solve_biht
 from .bpdn import BpdnProblem, SolverReport, epsilon_rule, solve_bpdn, solve_post_scaled
 from .experiments import (
+    CSV_HEADER,
     ExperimentConfig,
     GridPointResult,
     _design,
+    _write_json,
     run_experiments,
     run_phase_sweep,
     tuning_objective,
@@ -133,16 +135,10 @@ def _workers(value: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _plot_script(csv_name: str, title: str, y_expr: str) -> str:
     return (
         "# gnuplot script; columns refer to the CSV header\n"
-        "# n,m,k,delta,rho,method,noise_mode,bits,trials,mean_nmse,ci99,nonconverged\n"
+        f"# {CSV_HEADER}\n"
         'set datafile separator ","\n'
         "set logscale y\n"
         f'set title "{title}"\n'
@@ -383,11 +379,13 @@ def _cmd_solve(args) -> int:
 def _cmd_quantizer(args) -> int:
     builder = design_lloyd_max if args.design == "lloyd-max" else design_uniform_mmse
     q = builder(args.bits, args.sigma)
+    # an overflowing product is inf, which the gain model rejects; float ** raises
+    sigma_ybar_sq = args.sigma * args.sigma
     if args.samples > 0:
         rng = np.random.default_rng(args.seed)
-        fit = fit_gain_model(q, args.sigma**2, args.samples, rng)
+        fit = fit_gain_model(q, sigma_ybar_sq, args.samples, rng)
     else:
-        fit = gain_model_analytic(q, args.sigma**2)
+        fit = gain_model_analytic(q, sigma_ybar_sq)
     _write_json(
         args.out,
         {

@@ -77,9 +77,14 @@ from .siggen import InstanceConfig, generate_ensemble, generate_signal, purpose_
 NOISE_MODES = ("artificial-correlated", "lloyd-max-quantized", "uniform-quantized")
 METHODS = ("bpdn", "bpdn-scale", "bpdn-beta", "biht")
 
-CSV_HEADER = (
-    "n,m,k,delta,rho,method,noise_mode,bits,trials,mean_nmse,ci99,nonconverged"
-)
+#: Results CSV columns in file order, each with the type its text reads back
+#: as; float columns are written at 17 significant digits.
+CSV_COLUMNS = {
+    "n": int, "m": int, "k": int, "delta": float, "rho": float, "method": str,
+    "noise_mode": str, "bits": int, "trials": int, "mean_nmse": float,
+    "ci99": float, "nonconverged": int,
+}
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 # Two-sided 99% normal quantile for confidence-interval half-widths.
 CI99_FACTOR = float(ndtri(0.995))
@@ -598,78 +603,66 @@ def tuning_objective(
     )
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """Write `payload` as key-sorted JSON indented by two, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_results_csv(path: str, points: Sequence[GridPointResult]) -> None:
     """Write one CSV row per (grid point, method), floats at 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(CSV_COLUMNS)
         for p in points:
             writer.writerow(
                 [
-                    p.n,
-                    p.m,
-                    p.k,
-                    format(p.delta, ".17g"),
-                    format(p.rho, ".17g"),
-                    p.method,
-                    p.noise_mode,
-                    p.bits,
-                    p.trials,
-                    format(p.mean_nmse, ".17g"),
-                    format(p.ci99, ".17g"),
-                    p.nonconverged,
+                    format(getattr(p, name), ".17g") if kind is float else getattr(p, name)
+                    for name, kind in CSV_COLUMNS.items()
                 ]
             )
 
 
 def read_results_csv(path: str) -> Tuple[GridPointResult, ...]:
     """Read back rows written by write_results_csv."""
-    points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != CSV_HEADER.split(","):
+        if header != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            points.append(
-                GridPointResult(
-                    n=int(row[0]),
-                    m=int(row[1]),
-                    k=int(row[2]),
-                    delta=float(row[3]),
-                    rho=float(row[4]),
-                    method=row[5],
-                    noise_mode=row[6],
-                    bits=int(row[7]),
-                    trials=int(row[8]),
-                    mean_nmse=float(row[9]),
-                    ci99=float(row[10]),
-                    nonconverged=int(row[11]),
-                )
+        return tuple(
+            GridPointResult(
+                **{name: CSV_COLUMNS[name](cell) for name, cell in zip(header, row, strict=True)}
             )
-    return tuple(points)
+            for row in reader
+        )
 
 
-def _point_payload(points: Sequence[GridPointResult]) -> List[dict]:
-    return [
-        {key: value for key, value in asdict(p).items() if key != "trial_nmse"}
-        for p in points
-    ]
+def _write_manifest(
+    path: str, kind: str, key: str, body: dict, points: Sequence[GridPointResult]
+) -> None:
+    """The manifest envelope: format, kind, library version, master seed, the
+    run's parameters under `key`, and every point without its trial NMSEs."""
+    _write_json(
+        path,
+        {
+            "format": MANIFEST_FORMAT,
+            "kind": kind,
+            "library_version": __version__,
+            "master_seed": body.get("master_seed"),
+            key: body,
+            "points": [
+                {name: value for name, value in asdict(p).items() if name != "trial_nmse"}
+                for p in points
+            ],
+        },
+    )
 
 
 def write_manifest(path: str, result: ExperimentResult) -> None:
     """Persist config echo, library version, and per-point results as JSON."""
-    payload = {
-        "format": MANIFEST_FORMAT,
-        "kind": "experiment",
-        "library_version": __version__,
-        "master_seed": result.config.master_seed,
-        "config": asdict(result.config),
-        "points": _point_payload(result.points),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(path, "experiment", "config", asdict(result.config), result.points)
 
 
 def _load_manifest(path: str, kind: str) -> dict:
@@ -697,17 +690,7 @@ def write_sweep_manifest(
     path: str, params: dict, points: Sequence[GridPointResult]
 ) -> None:
     """Persist phase-sweep parameters and cells as JSON."""
-    payload = {
-        "format": MANIFEST_FORMAT,
-        "kind": "phase-sweep",
-        "library_version": __version__,
-        "master_seed": params.get("master_seed"),
-        "sweep": dict(params),
-        "points": _point_payload(points),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(path, "phase-sweep", "sweep", dict(params), points)
 
 
 def read_sweep_manifest(path: str) -> Tuple[dict, Tuple[GridPointResult, ...]]:

@@ -1,12 +1,9 @@
-"""Core measurement model: input checks, the sensing matrix, correlated noise.
+"""Input checks and the read-only sensing matrix A.
 
-The signal is sparse in the canonical basis, so the measurements use the
-sensing matrix A directly. The noise model is y = alpha * ybar + w, where
-ybar = A x are the noiseless measurements, 0 < alpha <= 1, and w is
-zero-mean white Gaussian noise that is uncorrelated with ybar. Total noise
-n = y - ybar then has per-entry variance (alpha - 1)^2 * sigma_ybar^2 +
-sigma_w^2. The harness draws and measures each trial's instance in
-corrcs.experiments (draw_instance, measure).
+The signal is sparse in the canonical basis, so the noiseless measurements
+are ybar = A x with the sensing matrix A itself. The harness draws and
+measures each trial's instance in corrcs.experiments (draw_instance,
+measure).
 """
 
 from __future__ import annotations
@@ -55,25 +52,3 @@ class SensingEnsemble:
     def from_matrix(cls, a) -> "SensingEnsemble":
         """Ensemble whose system matrix is `a`."""
         return cls(a)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Parameters of the correlated noise model y = alpha * ybar + w."""
-
-    alpha: float
-    sigma_w_sq: float
-    sigma_ybar_sq: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.sigma_w_sq < 0.0:
-            raise ValueError(f"sigma_w_sq must be >= 0, got {self.sigma_w_sq}")
-        if self.sigma_ybar_sq < 0.0:
-            raise ValueError(f"sigma_ybar_sq must be >= 0, got {self.sigma_ybar_sq}")
-
-
-def correlated_noise_variance(spec: NoiseSpec) -> float:
-    """Per-entry variance of the total noise n = y - ybar."""
-    return (spec.alpha - 1.0) ** 2 * spec.sigma_ybar_sq + spec.sigma_w_sq

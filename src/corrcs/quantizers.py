@@ -53,12 +53,12 @@ class ScalarQuantizer:
         bits = self.resolution_bits
         if bits < 1:
             raise ValueError(f"resolution_bits must be >= 1, got {bits}")
-        n_levels = 2**bits
-        if levels.shape != (n_levels,):
-            raise ValueError(f"expected {n_levels} levels, got shape {levels.shape}")
-        if thresholds.shape != (n_levels - 1,):
+        cells = 2**bits
+        if levels.shape != (cells,):
+            raise ValueError(f"expected {cells} levels, got shape {levels.shape}")
+        if thresholds.shape != (cells - 1,):
             raise ValueError(
-                f"expected {n_levels - 1} thresholds, got shape {thresholds.shape}"
+                f"expected {cells - 1} thresholds, got shape {thresholds.shape}"
             )
         if not (np.isfinite(thresholds).all() and np.isfinite(levels).all()):
             raise ValueError("thresholds and levels must be finite")
@@ -70,28 +70,34 @@ class ScalarQuantizer:
         if np.any(levels[:-1] > thresholds) or np.any(levels[1:] <= thresholds):
             raise ValueError("each level must lie inside its own cell")
 
-    @property
-    def n_levels(self) -> int:
-        return self.levels.size
-
 
 @dataclass(frozen=True)
 class GainModelFit:
-    """Fitted gain-plus-additive-noise parameters of a quantizer on Gaussian input."""
+    """Gain-plus-additive-noise model of a quantizer on Gaussian input.
 
-    alpha: float
+    Stored: the quantization error power sigma_q^2, the input power
+    sigma_ybar^2 and the Monte-Carlo sample count (0 for the closed form).
+    Derived from them: the gain alpha and the residual power sigma_r^2.
+    """
+
     sigma_q_sq: float
-    sigma_r_sq: float
     sigma_ybar_sq: float
     sample_count: int
 
     def __post_init__(self):
         if self.sigma_ybar_sq <= 0.0:
             raise ValueError("sigma_ybar_sq must be positive")
-        if abs(self.alpha - (1.0 - self.sigma_q_sq / self.sigma_ybar_sq)) > 1e-12:
-            raise ValueError("alpha inconsistent with 1 - sigma_q_sq/sigma_ybar_sq")
-        if abs(self.sigma_r_sq - self.alpha * (1.0 - self.alpha) * self.sigma_ybar_sq) > 1e-12:
-            raise ValueError("sigma_r_sq inconsistent with alpha(1-alpha)sigma_ybar_sq")
+
+    @property
+    def alpha(self) -> float:
+        """Correlation gain 1 - sigma_q^2 / sigma_ybar^2."""
+        return 1.0 - self.sigma_q_sq / self.sigma_ybar_sq
+
+    @property
+    def sigma_r_sq(self) -> float:
+        """Power alpha * (1 - alpha) * sigma_ybar^2 of the uncorrelated residual."""
+        alpha = self.alpha
+        return alpha * (1.0 - alpha) * self.sigma_ybar_sq
 
 
 def _standard_pdf(t: np.ndarray) -> np.ndarray:
@@ -203,8 +209,8 @@ def design_lloyd_max(bits: int, sigma: float) -> ScalarQuantizer:
     sigma times the quantizer for (bits, 1).
     """
     _check_design_args(bits, sigma)
-    n_levels = 2**bits
-    probs = (np.arange(n_levels) + 0.5) / n_levels
+    cells = 2**bits
+    probs = (np.arange(cells) + 0.5) / cells
     levels = ndtri(probs)
     max_iterations = 200
     best_levels, best_movement, stalled = levels, np.inf, 0
@@ -244,18 +250,18 @@ def design_uniform_mmse(bits: int, sigma: float) -> ScalarQuantizer:
     found by golden-section search on (0, 20*sigma/L].
     """
     _check_design_args(bits, sigma)
-    n_levels = 2**bits
+    cells = 2**bits
 
     def build(delta: float):
-        edges = (np.arange(1, n_levels) - n_levels / 2.0) * delta
-        mids = (np.arange(n_levels) - (n_levels - 1) / 2.0) * delta
+        edges = (np.arange(1, cells) - cells / 2.0) * delta
+        mids = (np.arange(cells) - (cells - 1) / 2.0) * delta
         return edges, mids
 
     def distortion(delta: float) -> float:
         edges, mids = build(delta)
         return _expected_distortion(edges, mids, sigma)
 
-    delta = _golden_section(distortion, 1e-9 * sigma, 20.0 * sigma / n_levels, 1e-10 * sigma)
+    delta = _golden_section(distortion, 1e-9 * sigma, 20.0 * sigma / cells, 1e-10 * sigma)
     thresholds, levels = build(delta)
     return ScalarQuantizer(thresholds, levels, bits)
 
@@ -312,14 +318,9 @@ def fit_gain_model(
         raise ValueError(f"sample_count must be >= 10000, got {sample_count}")
     ybar = rng.normal(0.0, np.sqrt(sigma_ybar_sq), size=sample_count)
     qerr = quantize(q, ybar) - ybar
-    sq_hat = float(np.mean(np.square(qerr)))
-    sy_hat = float(np.mean(np.square(ybar)))
-    alpha = 1.0 - sq_hat / sy_hat
     return GainModelFit(
-        alpha=alpha,
-        sigma_q_sq=sq_hat,
-        sigma_r_sq=alpha * (1.0 - alpha) * sy_hat,
-        sigma_ybar_sq=sy_hat,
+        sigma_q_sq=float(np.mean(np.square(qerr))),
+        sigma_ybar_sq=float(np.mean(np.square(ybar))),
         sample_count=sample_count,
     )
 
@@ -332,16 +333,8 @@ def gain_model_analytic(q: ScalarQuantizer, sigma_ybar_sq: float) -> GainModelFi
     """
     if not 0.0 < sigma_ybar_sq < np.inf:
         raise ValueError(f"sigma_ybar_sq must be positive and finite, got {sigma_ybar_sq}")
-    sigma = np.sqrt(sigma_ybar_sq)
-    sq = _expected_distortion(q.thresholds, q.levels, sigma)
-    alpha = 1.0 - sq / sigma_ybar_sq
-    return GainModelFit(
-        alpha=alpha,
-        sigma_q_sq=sq,
-        sigma_r_sq=alpha * (1.0 - alpha) * sigma_ybar_sq,
-        sigma_ybar_sq=sigma_ybar_sq,
-        sample_count=0,
-    )
+    sq = _expected_distortion(q.thresholds, q.levels, np.sqrt(sigma_ybar_sq))
+    return GainModelFit(sigma_q_sq=sq, sigma_ybar_sq=sigma_ybar_sq, sample_count=0)
 
 
 def quantizer_to_json(q: ScalarQuantizer) -> str:

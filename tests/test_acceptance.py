@@ -31,7 +31,6 @@ from corrcs.experiments import (
     run_experiments,
     tuning_objective,
 )
-from corrcs.model import NoiseSpec, correlated_noise_variance
 from corrcs.neldermead import SimplexConfig, minimize
 from corrcs.quantizers import (
     design_lloyd_max,
@@ -391,12 +390,8 @@ def test_criterion_10_property_suite_representatives():
     # deterministic (alpha-1)^2 part plus the white part, equal to (1-alpha)
     # times the signal power when w carries the residual variance.
     sigma_ybar_sq, alpha = 2.5, 0.8
-    spec = NoiseSpec(
-        alpha=alpha,
-        sigma_w_sq=alpha * (1.0 - alpha) * sigma_ybar_sq,
-        sigma_ybar_sq=sigma_ybar_sq,
-    )
-    total = correlated_noise_variance(spec)
+    sigma_w_sq = alpha * (1.0 - alpha) * sigma_ybar_sq
+    total = (alpha - 1.0) ** 2 * sigma_ybar_sq + sigma_w_sq
     assert np.isclose(total, (1.0 - alpha) * sigma_ybar_sq, rtol=1e-12)
 
     # Quantizer fixed point: thresholds sit midway between neighboring levels,

@@ -307,6 +307,19 @@ def test_quantizer_non_finite_sigma_exits_one(capsys, tmp_path, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "20000"])
+def test_quantizer_sigma_whose_square_overflows_exits_one(capsys, tmp_path, samples):
+    # 1e200 is finite but its square is not: the error line, not a traceback
+    out = tmp_path / "q.json"
+    code, _, stderr = run_cli(
+        capsys, "quantizer", "--design", "lloyd-max", "--bits", "1",
+        "--sigma", "1e200", "--samples", samples, "--out", str(out),
+    )
+    assert code == 1
+    assert "sigma_ybar_sq" in stderr
+    assert not out.exists()
+
+
 def test_reproduce_table1_alphas(capsys, tmp_path):
     code, stdout, _ = run_cli(
         capsys, "reproduce", "--figure", "table1", "--seed", "1",

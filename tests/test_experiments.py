@@ -158,6 +158,96 @@ def test_manifest_roundtrip(tmp_path):
     assert read_manifest(path) == result
 
 
+_PINNED_CSV = (
+    "n,m,k,delta,rho,method,noise_mode,bits,trials,mean_nmse,ci99,nonconverged\n"
+    "1000,200,6,0.20000000000000001,0.029999999999999999,bpdn,lloyd-max-quantized,"
+    "1,3,0.33333333333333331,0.10000000000000001,0\n"
+    "1000,200,6,0.20000000000000001,0.029999999999999999,bpdn-scale,lloyd-max-quantized,"
+    "1,3,2.5000000000000001e-05,1.0000000000000001e+300,1\n"
+)
+
+_PINNED_MANIFEST = """\
+{
+  "config": {
+    "beta": null,
+    "bits": 1,
+    "explicit_epsilon": null,
+    "grid": [
+      [
+        1000,
+        200,
+        6
+      ]
+    ],
+    "master_seed": 5,
+    "methods": [
+      "bpdn",
+      "bpdn-scale"
+    ],
+    "noise_mode": "lloyd-max-quantized",
+    "normalize_signals": false,
+    "retain_trials": false,
+    "trials": 3
+  },
+  "format": "corrcs-manifest/2",
+  "kind": "experiment",
+  "library_version": "0.1.0",
+  "master_seed": 5,
+  "points": [
+    {
+      "bits": 1,
+      "ci99": 0.1,
+      "delta": 0.2,
+      "k": 6,
+      "m": 200,
+      "mean_nmse": 0.3333333333333333,
+      "method": "bpdn",
+      "n": 1000,
+      "noise_mode": "lloyd-max-quantized",
+      "nonconverged": 0,
+      "rho": 0.03,
+      "trials": 3
+    },
+    {
+      "bits": 1,
+      "ci99": 1e+300,
+      "delta": 0.2,
+      "k": 6,
+      "m": 200,
+      "mean_nmse": 2.5e-05,
+      "method": "bpdn-scale",
+      "n": 1000,
+      "noise_mode": "lloyd-max-quantized",
+      "nonconverged": 1,
+      "rho": 0.03,
+      "trials": 3
+    }
+  ]
+}
+"""
+
+
+def test_csv_and_manifest_bytes_are_pinned(tmp_path):
+    # a format that still reads back (repr for ".17g", reordered keys or
+    # columns) would pass the round trips above; the literal text would not
+    row = dict(n=1000, m=200, k=6, delta=0.2, rho=0.03,
+               noise_mode="lloyd-max-quantized", bits=1, trials=3)
+    points = (
+        GridPointResult(method="bpdn", mean_nmse=1 / 3, ci99=0.1, nonconverged=0, **row),
+        GridPointResult(method="bpdn-scale", mean_nmse=2.5e-05, ci99=1e300,
+                        nonconverged=1, **row),
+    )
+    config = ExperimentConfig(grid=((1000, 200, 6),), trials=3,
+                              noise_mode="lloyd-max-quantized",
+                              methods=("bpdn", "bpdn-scale"), master_seed=5)
+    csv_path = tmp_path / "points.csv"
+    manifest_path = tmp_path / "run.json"
+    write_results_csv(str(csv_path), points)
+    write_manifest(str(manifest_path), experiments.ExperimentResult(config, points))
+    assert csv_path.read_bytes() == _PINNED_CSV.encode()
+    assert manifest_path.read_bytes() == _PINNED_MANIFEST.encode()
+
+
 def test_manifest_of_the_previous_format_is_rejected(tmp_path):
     # format 1 also held the alpha, sigma_w_sq and epsilon_mode config keys
     result = run_experiment(ExperimentConfig(**SMALL))

@@ -14,10 +14,13 @@ own `src`:
   manifest);
 - `optimize-beta-epsilon --m 400 --k 41 --bits 1 --trials 3` on seeds 0-9;
 - `reproduce --figure table1`;
-- `quantizer --design lloyd-max|uniform --bits 1|3`.
+- `quantizer --design lloyd-max|uniform --bits 1|3`, with the analytic gain
+  model, and `--bits 1 --samples 20000`, with the sampled fit.
 
 For each file the script prints "equal", or the largest relative difference
 among the numbers in it (or why the two cannot be compared number by number).
+JSON files are parsed and compared value by value, so a changed string reads
+"text differs" and never counts as a numeric move.
 It exits 1 when any file or exit status differs, or a run fails. Seeded
 outputs depend on the BLAS thread count, so run both sides in the same
 environment. Uses the standard library only.
@@ -26,6 +29,7 @@ environment. Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -66,6 +70,9 @@ def recipes() -> list:
             out.append((f"quantizer-{design}-bits{bits}",
                         ["quantizer", "--design", design, "--bits", str(bits)],
                         "quantizer.json"))
+        out.append((f"quantizer-{design}-bits1-samples20000",
+                    ["quantizer", "--design", design, "--bits", "1", "--samples", "20000"],
+                    "quantizer.json"))
     return out
 
 
@@ -82,15 +89,48 @@ def run(tree: str, name: str, args: list, out_file, out_root: str) -> int:
     return proc.returncode
 
 
-def compare(a: bytes, b: bytes) -> str:
-    """"equal", or the largest relative difference among the files' numbers."""
+def _leaves(value, path="$"):
+    """(path, value) of every scalar of a parsed JSON document, keys sorted."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare(a: bytes, b: bytes, is_json: bool = False) -> str:
+    """"equal", or the largest relative difference among the files' numbers.
+
+    With `is_json` both sides are parsed, and only number values are compared
+    as numbers; a string, boolean or null that differs is "text differs".
+    """
     if a == b:
         return "equal"
     ta, tb = a.decode(), b.decode()
-    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb):
-        return "text differs"
+    if is_json:
+        try:
+            la, lb = list(_leaves(json.loads(ta))), list(_leaves(json.loads(tb)))
+        except ValueError:
+            return "not valid JSON on one side"
+        if [path for path, _ in la] != [path for path, _ in lb]:
+            return "structure differs"
+        pairs = [(x, y) for (_, x), (_, y) in zip(la, lb)]
+        if any(x != y and not (_is_number(x) and _is_number(y)) for x, y in pairs):
+            return "text differs"
+        numbers = [(float(x), float(y)) for x, y in pairs if _is_number(x)]
+    else:
+        if NUMBER.sub("#", ta) != NUMBER.sub("#", tb):
+            return "text differs"
+        numbers = zip(map(float, NUMBER.findall(ta)), map(float, NUMBER.findall(tb)))
     worst = 0.0
-    for x, y in zip(map(float, NUMBER.findall(ta)), map(float, NUMBER.findall(tb))):
+    for x, y in numbers:
         if x != y:
             worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     return f"max relative difference {worst:.3g}"
@@ -125,7 +165,7 @@ def main(argv=None) -> int:
                     verdict = "missing on one side"
                 else:
                     with open(paths["base"], "rb") as fa, open(paths["change"], "rb") as fb:
-                        verdict = compare(fa.read(), fb.read())
+                        verdict = compare(fa.read(), fb.read(), filename.endswith(".json"))
                 differing += verdict != "equal"
                 print(f"{name}/{filename}: {verdict}", flush=True)
     print(f"{total} files, {total - differing} equal, {differing} differing, "
