@@ -1,7 +1,7 @@
 """Binary iterative hard thresholding for 1-bit sign measurements.
 
-Measurements keep only sign(A x). The solver descends the one-sided sign
-objective by the subgradient step a = x + (step/2) * A^T (signs - sign(A x)),
+Measurements keep only sign(A x). The solver takes the fixed unit step
+a = x + (1/2) A^T (signs - sign(A x)) on the one-sided sign objective,
 hard-thresholds a to the k largest magnitudes, and stops as soon as the
 current iterate reproduces every measured sign. Amplitude is unrecoverable
 from signs, so the returned solution is normalized to unit l2 norm.
@@ -25,7 +25,6 @@ class BihtProblem:
     signs: np.ndarray
     k: int
     max_iterations: int = 300
-    step_size: float = 1.0
 
     def __post_init__(self):
         a = _as_float_matrix(self.system_matrix, "system_matrix")
@@ -45,8 +44,6 @@ class BihtProblem:
             raise ValueError(f"k must be in [1, {a.shape[1]}], got {self.k}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.step_size > 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
 
 
 def sign_with_positive_zero(v: np.ndarray) -> np.ndarray:
@@ -92,7 +89,6 @@ def solve_biht(problem: BihtProblem) -> SolverReport:
     a = problem.system_matrix
     signs = problem.signs
     k = problem.k
-    half_step = 0.5 * problem.step_size
 
     x = np.zeros(a.shape[1])
     best_x = x
@@ -110,7 +106,7 @@ def solve_biht(problem: BihtProblem) -> SolverReport:
             break
         if iterations == problem.max_iterations:
             break
-        x = hard_threshold(x + half_step * (a.T @ mismatch), k)
+        x = hard_threshold(x + 0.5 * (a.T @ mismatch), k)
 
     solution = best_x
     norm = float(np.linalg.norm(solution))

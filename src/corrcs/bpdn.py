@@ -340,7 +340,7 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
             allow_tau_update = True
 
         # one spectral projected-gradient step at the current tau
-        x_old, f_old, g_old = x, f, g
+        x_old, g_old = x, g
         fmax = float(last_fv.max())
         attempt = (gstep, fmax, tau)
         if failed is not None and failed[0] is x and failed[1] == attempt:

@@ -22,6 +22,7 @@ from . import __version__
 from .biht import BihtProblem, sign_with_positive_zero, solve_biht
 from .bpdn import BpdnProblem, SolverReport, epsilon_rule, solve_bpdn, solve_post_scaled
 from .experiments import (
+    CSV_COLUMNS,
     CSV_HEADER,
     ExperimentConfig,
     GridPointResult,
@@ -35,7 +36,6 @@ from .experiments import (
     write_sweep_manifest,
 )
 from .model import _require_finite
-from .neldermead import SimplexConfig, minimize
 from .quantizers import (
     design_lloyd_max,
     design_uniform_mmse,
@@ -54,6 +54,7 @@ _FIGURE_MODES = {
 }
 _TABLE_BITS = {"table2": 1, "table3": 3, "table4": 5}
 _BENCHMARK_BITS = (1, 3, 5)
+_GRID_METHODS = ("bpdn", "bpdn-scale")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +136,7 @@ def _workers(value: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _plot_script(csv_name: str, title: str, y_expr: str) -> str:
+def _plot_script(title: str, y_expr: str) -> str:
     return (
         "# gnuplot script; columns refer to the CSV header\n"
         f"# {CSV_HEADER}\n"
@@ -148,8 +149,9 @@ def _plot_script(csv_name: str, title: str, y_expr: str) -> str:
     )
 
 
-def _benchmark_points(n: int) -> List[tuple]:
-    return [(n, m, k) for m, k in benchmark_grid()]
+def _using(*columns: str) -> str:
+    """gnuplot `using` spec of results-CSV columns, by name (1-based positions)."""
+    return ":".join(str(list(CSV_COLUMNS).index(name) + 1) for name in columns)
 
 
 def _flagged_exit(points: Sequence[GridPointResult]) -> int:
@@ -195,10 +197,10 @@ def _cmd_reproduce(args) -> int:
         trials = args.trials if args.trials is not None else (1000 if args.scale == "paper" else 50)
         configs = [
             ExperimentConfig(
-                grid=tuple(_benchmark_points(BENCHMARK_N)),
+                grid=tuple((BENCHMARK_N, m, k) for m, k in benchmark_grid()),
                 trials=trials,
                 noise_mode=_FIGURE_MODES[figure],
-                methods=("bpdn", "bpdn-scale"),
+                methods=_GRID_METHODS,
                 master_seed=args.seed,
                 bits=bits,
             )
@@ -213,13 +215,14 @@ def _cmd_reproduce(args) -> int:
             points.extend(result.points)
         csv_path = os.path.join(args.out, f"{figure}.csv")
         write_results_csv(csv_path, points)
+        bit_list = " ".join(map(str, _BENCHMARK_BITS))
+        method_list = " ".join(_GRID_METHODS)
         with open(os.path.join(args.out, f"{figure}.plt"), "w") as fh:
             fh.write(
                 _plot_script(
-                    f"{figure}.csv",
                     f"mean NMSE per grid point ({_FIGURE_MODES[figure]})",
-                    f'for [b in "1 3 5"] for [m in "bpdn bpdn-scale"] "{figure}.csv" '
-                    "using 10 every ::1 with linespoints "
+                    f'for [b in "{bit_list}"] for [m in "{method_list}"] "{figure}.csv" '
+                    f"using {_using('mean_nmse')} every ::1 with linespoints "
                     "title sprintf(\"%s %s-bit\", m, b)",
                 )
             )
@@ -238,9 +241,8 @@ def _cmd_reproduce(args) -> int:
         with open(os.path.join(args.out, "fig5.plt"), "w") as fh:
             fh.write(
                 _plot_script(
-                    "fig5.csv",
                     "phase plane: mean NMSE per (delta, rho) cell",
-                    '"fig5.csv" using 4:5:10 every ::1 with image',
+                    f'"fig5.csv" using {_using("delta", "rho", "mean_nmse")} every ::1 with image',
                 )
             )
         print(csv_path)
@@ -250,14 +252,13 @@ def _cmd_reproduce(args) -> int:
     bits = _TABLE_BITS[figure]
     trials = args.trials if args.trials is not None else (1000 if args.scale == "paper" else 100)
     grid = benchmark_grid() if args.scale == "paper" else [benchmark_grid()[0]]
-    rows = []
-    for m, k in grid:
-        rows.append(
-            _tune_point(
-                m=m, k=k, n=BENCHMARK_N, bits=bits,
-                noise_mode="artificial-correlated", trials=trials, seed=args.seed,
-            )
-        )
+    rows = [
+        tuning_objective(
+            m=m, k=k, n=BENCHMARK_N, bits=bits,
+            noise_mode="artificial-correlated", trials=trials, master_seed=args.seed,
+        ).tune()
+        for m, k in grid
+    ]
     path = os.path.join(args.out, f"{figure}.json")
     _write_json(
         path,
@@ -273,31 +274,6 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _tune_point(m, k, n, bits, noise_mode, trials, seed) -> dict:
-    objective = tuning_objective(
-        m=m, k=k, n=n, bits=bits, noise_mode=noise_mode,
-        trials=trials, master_seed=seed,
-    )
-    eps_ref = objective.reference_epsilon()
-    alpha = objective.alpha
-    beta, epsilon, value = minimize(
-        objective, SimplexConfig(init_point=(alpha, eps_ref))
-    )
-    return {
-        "m": m,
-        "k": k,
-        "n": n,
-        "alpha": alpha,
-        "reference_epsilon": eps_ref,
-        "nmse_at_alpha": objective(alpha, eps_ref),
-        "beta": beta,
-        "epsilon": epsilon,
-        "beta_over_alpha": beta / alpha,
-        "epsilon_over_reference": epsilon / eps_ref,
-        "nmse_at_optimum": value,
-    }
-
-
 def _load_csv(path: str, ndmin: int) -> np.ndarray:
     with warnings.catch_warnings():
         # numpy warns on a file without data; it is rejected below instead
@@ -308,10 +284,6 @@ def _load_csv(path: str, ndmin: int) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    return _load_csv(path, 2)
-
-
 def _load_vector(path: str) -> np.ndarray:
     v = _load_csv(path, 1).reshape(-1)
     # biht reads only the signs of y, which would turn a NaN into -1.
@@ -320,7 +292,7 @@ def _load_vector(path: str) -> np.ndarray:
 
 
 def _cmd_solve(args) -> int:
-    a = _load_matrix(args.matrix)
+    a = _load_csv(args.matrix, 2)
     y = _load_vector(args.y)
     if y.size != a.shape[0]:
         raise ValueError(
@@ -379,8 +351,11 @@ def _cmd_solve(args) -> int:
 def _cmd_quantizer(args) -> int:
     builder = design_lloyd_max if args.design == "lloyd-max" else design_uniform_mmse
     q = builder(args.bits, args.sigma)
-    # an overflowing product is inf, which the gain model rejects; float ** raises
+    # a product under- or overflows to 0 or inf, where float ** would raise
     sigma_ybar_sq = args.sigma * args.sigma
+    if not 0.0 < sigma_ybar_sq < np.inf:
+        raise ValueError(f"--sigma {args.sigma!r}: its square (sigma_ybar_sq) "
+                         f"{sigma_ybar_sq} leaves the float range")
     if args.samples > 0:
         rng = np.random.default_rng(args.seed)
         fit = fit_gain_model(q, sigma_ybar_sq, args.samples, rng)
@@ -419,10 +394,10 @@ def _cmd_phase_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    row = _tune_point(
+    row = tuning_objective(
         m=args.m, k=args.k, n=args.n, bits=args.bits,
-        noise_mode=args.noise_mode, trials=args.trials, seed=args.seed,
-    )
+        noise_mode=args.noise_mode, trials=args.trials, master_seed=args.seed,
+    ).tune()
     _write_json(args.out, dict(row, noise_mode=args.noise_mode, bits=args.bits,
                                trials=args.trials, master_seed=args.seed))
     print(args.out)

@@ -65,6 +65,7 @@ from . import __version__
 from .biht import BihtProblem, sign_with_positive_zero, solve_biht
 from .bpdn import BpdnProblem, epsilon_rule, solve_bpdn, solve_post_scaled
 from .model import _as_float_vector
+from .neldermead import SimplexConfig, minimize
 from .quantizers import (
     ScalarQuantizer,
     design_lloyd_max,
@@ -407,7 +408,6 @@ def _sweep_column(
     methods: Tuple[str, ...],
     nmse_cutoff: float,
     master_seed: int,
-    bits: int,
 ) -> List[GridPointResult]:
     """Ascend rho in one delta column; a method drops out past the NMSE cutoff.
 
@@ -424,15 +424,12 @@ def _sweep_column(
         k = int(round(rho * m))
         if k < 1:
             continue
-        if k > m:
-            break
         config = ExperimentConfig(
             grid=((n, m, k),),
             trials=trials,
             noise_mode="lloyd-max-quantized",
             methods=tuple(active),
             master_seed=master_seed,
-            bits=bits,
             normalize_signals=True,
         )
         for point in run_experiment(config).points:
@@ -450,7 +447,6 @@ def run_phase_sweep(
     nmse_cutoff: float = 1.0,
     n: int = 256,
     master_seed: int = 0,
-    bits: int = 1,
     workers: int = 1,
 ) -> Tuple[GridPointResult, ...]:
     """Sweep the (delta, rho) = (M/N, K/M) phase plane bottom-up.
@@ -458,8 +454,8 @@ def run_phase_sweep(
     For each undersampling column delta, sparsity rho ascends from the first
     step; a method stops contributing to the column once its mean NMSE
     exceeds nmse_cutoff (reconstruction quality only degrades with rho, so
-    nothing of interest lies above). All methods see unit-norm signals;
-    bpdn-* methods read 1-bit quantized measurements, biht reads signs.
+    nothing of interest lies above). All methods see unit-norm signals. The
+    sweep is 1-bit by construction: bpdn-scale reads 1-bit Lloyd-Max samples.
 
     workers > 1 runs the delta columns on one process pool, one column per
     job; cells come back in delta order either way.
@@ -487,7 +483,6 @@ def run_phase_sweep(
         methods=tuple(methods),
         nmse_cutoff=nmse_cutoff,
         master_seed=master_seed,
-        bits=bits,
     )
     per_column = _map(column, deltas, workers, chunksize=1)
     return tuple(cell for cells in per_column for cell in cells)
@@ -581,26 +576,24 @@ class TuningObjective:
             total += (zz / beta**2 - 2.0 * zx / beta + xx) / xx
         return total / self.trials
 
+    def tune(self) -> dict:
+        """Simplex search for (beta, epsilon) from (alpha, reference radius);
+        returns the point, both ends of the search, their NMSEs and ratios."""
+        eps_ref = self.reference_epsilon()
+        beta, epsilon, value = minimize(self, SimplexConfig(init_point=(self.alpha, eps_ref)))
+        return {
+            "m": self.m, "k": self.k, "n": self.n,
+            "alpha": self.alpha, "reference_epsilon": eps_ref,
+            "nmse_at_alpha": self(self.alpha, eps_ref),
+            "beta": beta, "epsilon": epsilon, "nmse_at_optimum": value,
+            "beta_over_alpha": beta / self.alpha,
+            "epsilon_over_reference": epsilon / eps_ref,
+        }
 
-def tuning_objective(
-    m: int,
-    k: int,
-    trials: int,
-    master_seed: int,
-    n: int = 1000,
-    noise_mode: str = "artificial-correlated",
-    bits: int = 1,
-) -> TuningObjective:
-    """Convenience constructor for the cached (beta, epsilon) NMSE objective."""
-    return TuningObjective(
-        m=m,
-        k=k,
-        trials=trials,
-        master_seed=master_seed,
-        n=n,
-        noise_mode=noise_mode,
-        bits=bits,
-    )
+
+def tuning_objective(*args, **kwargs) -> TuningObjective:
+    """TuningObjective(*args, **kwargs); see that class for the parameters."""
+    return TuningObjective(*args, **kwargs)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -24,14 +24,6 @@ from scipy.special import ndtr, ndtri
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-class QuantizerDesignError(RuntimeError):
-    """Design iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_levels: np.ndarray):
-        super().__init__(message)
-        self.last_levels = last_levels
-
-
 @dataclass(frozen=True)
 class ScalarQuantizer:
     """L = 2^resolution_bits cells: (-inf, p_1], (p_1, p_2], ..., (p_{L-1}, +inf).
@@ -149,13 +141,13 @@ def _cell_edges(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _centroids(thresholds: np.ndarray, sigma: float, fallback: np.ndarray) -> np.ndarray:
-    """Conditional Gaussian means of the cells defined by `thresholds`."""
-    lower, upper = _cell_edges(thresholds / sigma)
+def _centroids(thresholds: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Standard-Gaussian means of the cells of `thresholds`; a massless cell keeps `fallback`."""
+    lower, upper = _cell_edges(thresholds)
     mass, m1, _ = _cell_moments(lower, upper)
     safe = mass > 0.0
     out = fallback.astype(np.float64, copy=True)
-    out[safe] = sigma * m1[safe] / mass[safe]
+    out[safe] = m1[safe] / mass[safe]
     return out
 
 
@@ -216,7 +208,7 @@ def design_lloyd_max(bits: int, sigma: float) -> ScalarQuantizer:
     best_levels, best_movement, stalled = levels, np.inf, 0
     for _ in range(max_iterations):
         thresholds = 0.5 * (levels[:-1] + levels[1:])
-        residual = _centroids(thresholds, 1.0, levels) - levels
+        residual = _centroids(thresholds, levels) - levels
         movement = float(np.max(np.abs(residual)))
         if movement < best_movement:
             best_levels, best_movement, stalled = levels, movement, 0
@@ -233,10 +225,7 @@ def design_lloyd_max(bits: int, sigma: float) -> ScalarQuantizer:
         else:
             levels = levels + residual
     else:
-        raise QuantizerDesignError(
-            f"fixed point not reached after {max_iterations} iterations",
-            sigma * best_levels,
-        )
+        raise RuntimeError(f"fixed point not reached after {max_iterations} iterations")
     levels = sigma * levels
     thresholds = 0.5 * (levels[:-1] + levels[1:])
     return ScalarQuantizer(thresholds, levels, bits)

@@ -31,7 +31,6 @@ from corrcs.experiments import (
     run_experiments,
     tuning_objective,
 )
-from corrcs.neldermead import SimplexConfig, minimize
 from corrcs.quantizers import (
     design_lloyd_max,
     design_uniform_mmse,
@@ -318,11 +317,9 @@ def test_criterion_08_tuned_scaling_and_radius():
     objective = tuning_objective(
         m=200, k=1, trials=100, master_seed=MASTER_SEED, n=1000, bits=1
     )
-    eps_ref = objective.reference_epsilon()
-    p_alpha = objective(objective.alpha, eps_ref)
-    beta, epsilon, p_opt = minimize(
-        objective, SimplexConfig(init_point=(objective.alpha, eps_ref))
-    )
+    row = objective.tune()
+    eps_ref, p_alpha = row["reference_epsilon"], row["nmse_at_alpha"]
+    beta, epsilon, p_opt = row["beta"], row["epsilon"], row["nmse_at_optimum"]
     beta_ratio = beta / objective.alpha
     eps_ratio = epsilon / eps_ref
     assert 0.7 <= beta_ratio <= 1.0, beta_ratio

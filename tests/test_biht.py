@@ -202,10 +202,6 @@ def test_problem_validation():
         BihtProblem(a, good_signs, k=4)
     with pytest.raises(ValueError):
         BihtProblem(a, good_signs, k=1, max_iterations=0)
-    with pytest.raises(ValueError):
-        BihtProblem(a, good_signs, k=1, step_size=0.0)
-    with pytest.raises(ValueError):
-        BihtProblem(a, good_signs, k=1, step_size=-1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

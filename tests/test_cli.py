@@ -1,11 +1,12 @@
 """Command-line interface: file IO, exit codes, and recipe outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from corrcs import cli
+from corrcs import cli, experiments
 from corrcs.bpdn import epsilon_rule
 from corrcs.quantizers import design_lloyd_max, gain_model_analytic
 
@@ -143,6 +144,40 @@ def test_solve_missing_alpha_for_scaled_method_exits_one(capsys, tmp_path, solve
     )
     assert code == 1
     assert "alpha" in stderr
+
+
+@pytest.mark.parametrize(
+    "flags, missing",
+    [(["--method", "biht"], "--k"), (["--method", "bpdn", "--epsilon", "auto"], "--sigma")],
+)
+def test_solve_without_a_required_flag_exits_one(capsys, tmp_path, solve_files, flags, missing):
+    matrix, yfile, _, _ = solve_files
+    code, _, stderr = run_cli(
+        capsys, "solve", "--matrix", matrix, "--y", yfile, *flags,
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert missing in stderr
+    assert not (tmp_path / "x-solution.csv").exists()
+
+
+def test_solve_scaled_bits_matches_its_alpha(capsys, tmp_path, solve_files):
+    # --bits 1 stands for the 1-bit Lloyd-Max alpha
+    matrix, yfile, _, noise_norm = solve_files
+    alpha = gain_model_analytic(design_lloyd_max(1, 1.0), 1.0).alpha
+    outputs = []
+    for name, flag, value in (("bits", "--bits", "1"), ("alpha", "--alpha", repr(alpha))):
+        out = str(tmp_path / name)
+        code, _, _ = run_cli(
+            capsys, "solve", "--matrix", matrix, "--y", yfile, "--method", "bpdn-scale",
+            flag, value, "--epsilon", str(noise_norm), "--out", out,
+        )
+        assert code == 0
+        outputs.append(
+            open(f"{out}-solution.csv", "rb").read()
+            + open(f"{out}-report.json", "rb").read()
+        )
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -308,15 +343,18 @@ def test_quantizer_non_finite_sigma_exits_one(capsys, tmp_path, sigma):
 
 
 @pytest.mark.parametrize("samples", ["0", "20000"])
-def test_quantizer_sigma_whose_square_overflows_exits_one(capsys, tmp_path, samples):
-    # 1e200 is finite but its square is not: the error line, not a traceback
+@pytest.mark.parametrize("sigma", ["1e200", "1e160", "1e-170"])
+def test_quantizer_sigma_whose_square_overflows_exits_one(capsys, tmp_path, sigma, samples):
+    # each sigma is finite but its square is not (or underflows to 0): the
+    # error line names the flag, not a traceback
     out = tmp_path / "q.json"
     code, _, stderr = run_cli(
         capsys, "quantizer", "--design", "lloyd-max", "--bits", "1",
-        "--sigma", "1e200", "--samples", samples, "--out", str(out),
+        "--sigma", sigma, "--samples", samples, "--out", str(out),
     )
     assert code == 1
     assert "sigma_ybar_sq" in stderr
+    assert "--sigma" in stderr
     assert not out.exists()
 
 
@@ -346,6 +384,37 @@ def test_reproduce_fig3_shape_and_exit(capsys, tmp_path):
     assert (tmp_path / "fig3.plt").exists()
     for bits in (1, 3, 5):
         assert (tmp_path / f"fig3-{bits}bit-manifest.json").exists()
+
+
+def test_reproduce_fig5_desk_writes_csv_manifest_and_plot(capsys, tmp_path):
+    code, stdout, _ = run_cli(
+        capsys, "reproduce", "--figure", "fig5", "--scale", "desk",
+        "--trials", "1", "--workers", "1", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert stdout.strip() == str(tmp_path / "fig5.csv")
+    assert (tmp_path / "fig5-manifest.json").exists()
+    plot = (tmp_path / "fig5.plt").read_text().splitlines()
+    assert plot[-1] == 'plot "fig5.csv" using 4:5:10 every ::1 with image'
+    assert open(tmp_path / "fig5.csv").readline().strip() == experiments.CSV_HEADER
+
+
+def test_reproduce_table2_row_matches_optimize(capsys, tmp_path):
+    code, stdout, _ = run_cli(
+        capsys, "reproduce", "--figure", "table2", "--scale", "desk",
+        "--trials", "2", "--out", str(tmp_path),
+    )
+    assert code == 0
+    (row,) = json.load(open(stdout.strip()))["rows"]
+    out = str(tmp_path / "tuned.json")
+    code, _, _ = run_cli(
+        capsys, "optimize-beta-epsilon", "--m", "200", "--k", "1", "--bits", "1",
+        "--trials", "2", "--out", out,
+    )
+    assert code == 0
+    tuned = json.load(open(out))
+    assert (row["m"], row["k"]) == (200, 1)
+    assert {key: tuned[key] for key in row} == row
 
 
 def test_reproduce_unknown_figure_exits_one(capsys, tmp_path):
@@ -405,6 +474,22 @@ def test_phase_sweep_without_cells_exits_one(capsys, tmp_path, flag, value):
     assert code == 1
     assert "phase-sweep: error" in stderr
     assert not (tmp_path / "phase-sweep.csv").exists()
+
+
+def test_phase_sweep_non_converged_solves_exit_two(capsys, tmp_path, monkeypatch):
+    solve = experiments.solve_post_scaled
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(experiments, "solve_post_scaled", failing)
+    code, stdout, _ = run_cli(
+        capsys, "phase-sweep", "--n", "16", "--delta-step", "0.5",
+        "--rho-step", "0.5", "--trials", "2", "--workers", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert stdout.strip().endswith("phase-sweep.csv")
 
 
 def test_optimize_improves_on_matched_parameters(capsys, tmp_path):

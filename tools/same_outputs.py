@@ -14,6 +14,7 @@ own `src`:
   manifest);
 - `optimize-beta-epsilon --m 400 --k 41 --bits 1 --trials 3` on seeds 0-9;
 - `reproduce --figure table1`;
+- `reproduce --figure table2 --scale desk --trials 3` (the tuning recipe);
 - `quantizer --design lloyd-max|uniform --bits 1|3`, with the analytic gain
   model, and `--bits 1 --samples 20000`, with the sampled fit.
 
@@ -65,6 +66,8 @@ def recipes() -> list:
                     ["optimize-beta-epsilon", "--m", "400", "--k", "41", "--bits", "1",
                      "--trials", "3", "--seed", str(seed)], "tune.json"))
     out.append(("table1", ["reproduce", "--figure", "table1"], None))
+    out.append(("table2-trials3", ["reproduce", "--figure", "table2", "--scale", "desk",
+                                   "--trials", "3"], None))
     for design in ("lloyd-max", "uniform"):
         for bits in (1, 3):
             out.append((f"quantizer-{design}-bits{bits}",
