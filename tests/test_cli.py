@@ -149,6 +149,7 @@ def test_solve_missing_alpha_for_scaled_method_exits_one(capsys, tmp_path, solve
 @pytest.mark.parametrize(
     "flags, missing",
     [(["--method", "biht"], "--k"), (["--method", "bpdn", "--epsilon", "auto"], "--sigma")],
+    ids=["biht-without-k", "auto-epsilon-without-sigma"],
 )
 def test_solve_without_a_required_flag_exits_one(capsys, tmp_path, solve_files, flags, missing):
     matrix, yfile, _, _ = solve_files
