@@ -454,8 +454,8 @@ def run_phase_sweep(
     For each undersampling column delta, sparsity rho ascends from the first
     step; a method stops contributing to the column once its mean NMSE
     exceeds nmse_cutoff (reconstruction quality only degrades with rho, so
-    nothing of interest lies above). All methods see unit-norm signals. The
-    sweep is 1-bit by construction: bpdn-scale reads 1-bit Lloyd-Max samples.
+    nothing of interest lies above). All methods see unit-norm signals; the
+    sweep is 1-bit by construction (1-bit Lloyd-Max for bpdn-scale, signs for biht).
 
     workers > 1 runs the delta columns on one process pool, one column per
     job; cells come back in delta order either way.
@@ -592,7 +592,8 @@ class TuningObjective:
 
 
 def tuning_objective(*args, **kwargs) -> TuningObjective:
-    """TuningObjective(*args, **kwargs); see that class for the parameters."""
+    """TuningObjective(*args, **kwargs); see that class for the parameters. A
+    function, not an alias, so that wrapping it by name leaves the class alone."""
     return TuningObjective(*args, **kwargs)
 
 
