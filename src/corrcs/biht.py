@@ -3,8 +3,9 @@
 Measurements keep only sign(A x). The solver takes the fixed unit step
 a = x + (1/2) A^T (signs - sign(A x)) on the one-sided sign objective,
 hard-thresholds a to the k largest magnitudes, and stops as soon as the
-current iterate reproduces every measured sign. Amplitude is unrecoverable
-from signs, so the returned solution is normalized to unit l2 norm.
+current iterate reproduces every measured sign, or after a fixed 300
+iterations. Amplitude is unrecoverable from signs, so the returned solution
+is normalized to unit l2 norm.
 """
 
 from __future__ import annotations
@@ -14,36 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpdn import SolverReport
-from .model import _as_float_matrix, _as_float_vector, _require_finite
+from .model import _as_float_vector, _system
+
+_MAX_ITERATIONS = 300
 
 
 @dataclass(frozen=True)
 class BihtProblem:
-    """Sign measurements, sparsity budget, and iteration controls."""
+    """Sign measurements and sparsity budget; the iteration cap is fixed."""
 
     system_matrix: np.ndarray
     signs: np.ndarray
     k: int
-    max_iterations: int = 300
 
     def __post_init__(self):
-        a = _as_float_matrix(self.system_matrix, "system_matrix")
-        signs = _as_float_vector(self.signs, "signs")
-        _require_finite(a, "system_matrix")
-        a.setflags(write=False)
-        signs.setflags(write=False)
+        a, signs = _system(self.system_matrix, self.signs, "signs")
         object.__setattr__(self, "system_matrix", a)
         object.__setattr__(self, "signs", signs)
-        if signs.size != a.shape[0]:
-            raise ValueError(
-                f"signs length {signs.size} does not match matrix rows {a.shape[0]}"
-            )
         if not np.all(np.abs(signs) == 1.0):
             raise ValueError("signs entries must all be -1 or +1")
         if not 1 <= self.k <= a.shape[1]:
             raise ValueError(f"k must be in [1, {a.shape[1]}], got {self.k}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 def sign_with_positive_zero(v: np.ndarray) -> np.ndarray:
@@ -93,9 +85,8 @@ def solve_biht(problem: BihtProblem) -> SolverReport:
     x = np.zeros(a.shape[1])
     best_x = x
     best_mismatches = signs.size + 1
-    iterations = 0
     converged = False
-    for iterations in range(problem.max_iterations + 1):
+    for iterations in range(_MAX_ITERATIONS + 1):
         mismatch = signs - sign_with_positive_zero(a @ x)
         mismatches = int(np.count_nonzero(mismatch))
         if mismatches < best_mismatches:
@@ -104,7 +95,7 @@ def solve_biht(problem: BihtProblem) -> SolverReport:
         if mismatches == 0:
             converged = True
             break
-        if iterations == problem.max_iterations:
+        if iterations == _MAX_ITERATIONS:
             break
         x = hard_threshold(x + 0.5 * (a.T @ mismatch), k)
 

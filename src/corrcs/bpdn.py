@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _as_float_matrix, _as_float_vector, _require_finite
+from .model import _as_float_vector, _require_finite, _system
 
 _STEP_MIN = 1e-16
 _STEP_MAX = 1e16
@@ -50,18 +50,10 @@ class BpdnProblem:
     epsilon: float
 
     def __post_init__(self):
-        a = _as_float_matrix(self.system_matrix, "system_matrix")
-        y = _as_float_vector(self.observed, "observed")
-        _require_finite(a, "system_matrix")
+        a, y = _system(self.system_matrix, self.observed, "observed")
         _require_finite(y, "observed")
-        a.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "system_matrix", a)
         object.__setattr__(self, "observed", y)
-        if y.size != a.shape[0]:
-            raise ValueError(
-                f"observed length {y.size} does not match matrix rows {a.shape[0]}"
-            )
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
@@ -77,9 +69,7 @@ class SolverReport:
     converged: bool
 
     def __post_init__(self):
-        solution = _as_float_vector(self.solution, "solution")
-        solution.setflags(write=False)
-        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "solution", _as_float_vector(self.solution, "solution"))
 
 
 def epsilon_rule(m: int, sigma: float) -> float:
@@ -207,9 +197,11 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     1e-6 relative to the objective or, when rounding noise in the gap
     evaluation floors above that, until no descent step exists at working
     precision — the residual of such a polished iterate is exact and is fed
-    back to the root update. When the fixed budget (_MAX_MATVEC = 10,000
-    matrix-vector products, 200 root updates) runs out first, converged=False
-    and the report carries the best iterate seen.
+    back to the root update. Outside the band, that stall re-enables the root
+    update, and the next pass, which finds the objective unchanged and so
+    stagnated, moves tau from the polished residual. When the fixed budget
+    (_MAX_MATVEC = 10,000 matrix-vector products, 200 root updates) runs out
+    first, converged=False and the report carries the best iterate seen.
     """
     a = problem.system_matrix
     y = problem.observed
@@ -244,7 +236,6 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     last_fv[0] = f
     f_prev = f
     allow_tau_update = True
-    force_tau = False
     stall_rnorm = None
     update_rnorm = None
     newton_steps = 0
@@ -297,17 +288,14 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
 
         # at most every other pass, so a projected-gradient step always
         # refreshes the curve information between consecutive tau updates
-        # (a stall-forced update bypasses the alternation: its residual
-        # reading is already as good as floating point can make it)
-        if force_tau or ((sub_opt or stagnated) and allow_tau_update):
-            force_tau = False
+        if (sub_opt or stagnated) and allow_tau_update:
             allow_tau_update = False
             if gnorm <= 0.0:
                 break
             # an increment inside the tau resolution cannot change the iterate
             # and must not reset the stall bookkeeping, or it would starve the
             # descent-exhaustion path of its chance to accept an in-band root
-            tau_new = max(0.0, tau + rnorm * (rnorm - eps) / gnorm)
+            tau_new = max(0.0, tau + delta_tau)
             if abs(tau_new - tau) > tau_res:
                 if (
                     in_band
@@ -374,7 +362,8 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
             # exact, so converge if it sits in the root band, stop if repeated
             # polished solves pin the same residual outside the band (no
             # radius below that least-squares floor is attainable), and
-            # otherwise hand the reading to the root update.
+            # otherwise hand the reading to the root update: the iterate is
+            # unchanged, so the next pass sees f stagnate and takes it.
             if line_errors_left <= 0:
                 if in_band:
                     converged = True
@@ -383,10 +372,8 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
                     1.0, rnorm
                 ):
                     break
-                if gnorm <= 0.0:
-                    break
                 stall_rnorm = rnorm
-                force_tau = True
+                allow_tau_update = True
                 line_errors_left = max_line_errors
                 step_max = _STEP_MAX
                 gstep, init = _init_step(x, g, tau, step_max, init)
@@ -412,14 +399,19 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
         else:
             gstep = min(step_max, max(_STEP_MIN, sts / sty))
 
-    if converged:
-        solution = x
-    else:
-        solution = best_x
-    residual = y - a @ solution
-    rnorm = math.sqrt(residual.dot(residual))
-    l1 = float(np.abs(solution).sum())
-    return SolverReport(solution, rnorm, l1, iterations, converged)
+    return _report(problem, x if converged else best_x, iterations, converged)
+
+
+def _report(problem: BpdnProblem, solution, iterations: int, converged: bool) -> SolverReport:
+    """Report of `solution` with its residual and l1 norms recomputed on `problem`."""
+    residual = problem.observed - problem.system_matrix @ solution
+    return SolverReport(
+        solution=solution,
+        residual_norm=math.sqrt(residual.dot(residual)),
+        l1_norm=float(np.abs(solution).sum()),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def _init_step(x, g, tau, step_max, last):
@@ -465,12 +457,4 @@ def solve_post_scaled(problem: BpdnProblem, beta: float) -> SolverReport:
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     inner = solve_bpdn(problem)
-    solution = inner.solution / beta
-    residual = problem.observed - problem.system_matrix @ solution
-    return SolverReport(
-        solution=solution,
-        residual_norm=math.sqrt(residual.dot(residual)),
-        l1_norm=float(np.abs(solution).sum()),
-        iterations=inner.iterations,
-        converged=inner.converged,
-    )
+    return _report(problem, inner.solution / beta, inner.iterations, inner.converged)

@@ -37,6 +37,7 @@ from .experiments import (
 )
 from .model import _require_finite
 from .quantizers import (
+    _check_input_power,
     design_lloyd_max,
     design_uniform_mmse,
     fit_gain_model,
@@ -353,9 +354,7 @@ def _cmd_quantizer(args) -> int:
     q = builder(args.bits, args.sigma)
     # a product under- or overflows to 0 or inf, where float ** would raise
     sigma_ybar_sq = args.sigma * args.sigma
-    if not 0.0 < sigma_ybar_sq < np.inf:
-        raise ValueError(f"--sigma {args.sigma!r}: its square (sigma_ybar_sq) "
-                         f"{sigma_ybar_sq} leaves the float range")
+    _check_input_power(sigma_ybar_sq, f"--sigma {args.sigma!r}: its square sigma_ybar_sq")
     if args.samples > 0:
         rng = np.random.default_rng(args.seed)
         fit = fit_gain_model(q, sigma_ybar_sq, args.samples, rng)

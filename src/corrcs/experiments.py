@@ -65,7 +65,7 @@ from . import __version__
 from .biht import BihtProblem, sign_with_positive_zero, solve_biht
 from .bpdn import BpdnProblem, epsilon_rule, solve_bpdn, solve_post_scaled
 from .model import _as_float_vector
-from .neldermead import SimplexConfig, minimize
+from .neldermead import minimize
 from .quantizers import (
     ScalarQuantizer,
     design_lloyd_max,
@@ -580,7 +580,7 @@ class TuningObjective:
         """Simplex search for (beta, epsilon) from (alpha, reference radius);
         returns the point, both ends of the search, their NMSEs and ratios."""
         eps_ref = self.reference_epsilon()
-        beta, epsilon, value = minimize(self, SimplexConfig(init_point=(self.alpha, eps_ref)))
+        beta, epsilon, value = minimize(self, (self.alpha, eps_ref))
         return {
             "m": self.m, "k": self.k, "n": self.n,
             "alpha": self.alpha, "reference_epsilon": eps_ref,

@@ -13,11 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of `arr` that cannot be written; `arr` itself keeps its flags."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 def _as_float_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D real vector, got shape {arr.shape}")
-    return arr
+    return _read_only(arr)
 
 
 def _as_float_matrix(m, name: str) -> np.ndarray:
@@ -26,12 +33,22 @@ def _as_float_matrix(m, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} must be a non-empty 2-D real matrix, got shape {arr.shape}"
         )
-    return arr
+    return _read_only(arr)
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
+def _system(matrix, vector, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (A, v): A non-empty, 2-D and finite, v 1-D, one entry per row of A."""
+    a = _as_float_matrix(matrix, "system_matrix")
+    _require_finite(a, "system_matrix")
+    v = _as_float_vector(vector, name)
+    if v.size != a.shape[0]:
+        raise ValueError(f"{name} length {v.size} does not match matrix rows {a.shape[0]}")
+    return a, v
 
 
 @dataclass(frozen=True)
@@ -42,7 +59,6 @@ class SensingEnsemble:
 
     def __post_init__(self):
         a = _as_float_matrix(self.system_matrix, "system_matrix")
-        a.setflags(write=False)
         object.__setattr__(self, "system_matrix", a)
         m, n = a.shape
         if m > n:

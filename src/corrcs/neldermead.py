@@ -9,35 +9,22 @@ seeds - common random numbers) or the simplex ordering is meaningless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
 _FEASIBLE_FLOOR = 1e-9
 
-# Nelder-Mead coefficients (the standard choice) and the initial simplex's
-# relative edge length.
+# Nelder-Mead coefficients (the standard choice), the initial simplex's
+# relative edge length, and the stopping controls: the relative simplex
+# diameter and the evaluation budget.
 _REFLECTION = 1.0
 _EXPANSION = 2.0
 _CONTRACTION = 0.5
 _SHRINK = 0.5
 _INIT_SPREAD = 0.2
-
-
-@dataclass(frozen=True)
-class SimplexConfig:
-    """Initial point and stopping controls of the simplex search."""
-
-    init_point: Tuple[float, float] = (1.0, 1.0)
-    tol: float = 1e-3
-    max_evals: int = 400
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_evals < 3:
-            raise ValueError(f"max_evals must be >= 3, got {self.max_evals}")
+_TOL = 1e-3
+_MAX_EVALS = 400
 
 
 def _clamp(point: np.ndarray) -> np.ndarray:
@@ -46,13 +33,13 @@ def _clamp(point: np.ndarray) -> np.ndarray:
 
 
 def minimize(
-    objective: Callable[[float, float], float], config: SimplexConfig
+    objective: Callable[[float, float], float], start: Tuple[float, float]
 ) -> Tuple[float, float, float]:
-    """Minimize objective(beta, epsilon) over the positive quadrant.
+    """Minimize objective(beta, epsilon) over the positive quadrant from `start`.
 
     Returns (beta, epsilon, value) at the best vertex once the simplex
-    diameter falls below tol relative to the best vertex's scale, or once
-    max_evals objective evaluations have been spent. The best value never
+    diameter falls below _TOL relative to the best vertex's scale, or once
+    _MAX_EVALS objective evaluations have been spent. The best value never
     increases from one iteration to the next.
     """
     evals = 0
@@ -63,9 +50,9 @@ def minimize(
         value = float(objective(float(point[0]), float(point[1])))
         return value if np.isfinite(value) else np.inf
 
-    base = _clamp(np.asarray(config.init_point, dtype=np.float64))
+    base = _clamp(np.asarray(start, dtype=np.float64))
     if base.shape != (2,):
-        raise ValueError(f"init_point must be a (beta, epsilon) pair, got {config.init_point}")
+        raise ValueError(f"start must be a (beta, epsilon) pair, got {start}")
     vertices = [base]
     for i in range(2):
         step = _INIT_SPREAD * base[i]
@@ -78,13 +65,13 @@ def minimize(
     if not all(np.isfinite(values)):
         raise ValueError("objective is not finite on the initial simplex")
 
-    while evals < config.max_evals:
+    while evals < _MAX_EVALS:
         order = np.argsort(values, kind="stable")
         vertices = [vertices[i] for i in order]
         values = [values[i] for i in order]
         best, worst = vertices[0], vertices[-1]
         diameter = max(float(np.linalg.norm(v - best)) for v in vertices[1:])
-        if diameter < config.tol * max(1.0, float(np.linalg.norm(best))):
+        if diameter < _TOL * max(1.0, float(np.linalg.norm(best))):
             break
 
         centroid = (vertices[0] + vertices[1]) / 2.0

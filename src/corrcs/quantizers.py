@@ -21,6 +21,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
+from .model import _as_float_vector
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -36,10 +38,8 @@ class ScalarQuantizer:
     resolution_bits: int
 
     def __post_init__(self):
-        thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        levels = np.asarray(self.levels, dtype=np.float64)
-        thresholds.setflags(write=False)
-        levels.setflags(write=False)
+        thresholds = _as_float_vector(self.thresholds, "thresholds")
+        levels = _as_float_vector(self.levels, "levels")
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "levels", levels)
         bits = self.resolution_bits
@@ -77,8 +77,7 @@ class GainModelFit:
     sample_count: int
 
     def __post_init__(self):
-        if self.sigma_ybar_sq <= 0.0:
-            raise ValueError("sigma_ybar_sq must be positive")
+        _check_input_power(self.sigma_ybar_sq)
 
     @property
     def alpha(self) -> float:
@@ -90,6 +89,12 @@ class GainModelFit:
         """Power alpha * (1 - alpha) * sigma_ybar^2 of the uncorrelated residual."""
         alpha = self.alpha
         return alpha * (1.0 - alpha) * self.sigma_ybar_sq
+
+
+def _check_input_power(sigma_ybar_sq: float, name: str = "sigma_ybar_sq") -> None:
+    # a subnormal power keeps too few significant bits for the gain model
+    if not np.finfo(float).tiny <= sigma_ybar_sq < np.inf:
+        raise ValueError(f"{name} must be finite, positive and normal, got {sigma_ybar_sq}")
 
 
 def _standard_pdf(t: np.ndarray) -> np.ndarray:
@@ -301,8 +306,7 @@ def fit_gain_model(
     q = Q(ybar) - ybar, and returns alpha = 1 - sigma_q^2/sigma_ybar^2 using
     the sample second moments.
     """
-    if not 0.0 < sigma_ybar_sq < np.inf:
-        raise ValueError(f"sigma_ybar_sq must be positive and finite, got {sigma_ybar_sq}")
+    _check_input_power(sigma_ybar_sq)
     if sample_count < 10_000:
         raise ValueError(f"sample_count must be >= 10000, got {sample_count}")
     ybar = rng.normal(0.0, np.sqrt(sigma_ybar_sq), size=sample_count)
@@ -320,8 +324,7 @@ def gain_model_analytic(q: ScalarQuantizer, sigma_ybar_sq: float) -> GainModelFi
     sigma_q^2 is the exact expected squared quantization error, so alpha is
     deterministic; sample_count is recorded as 0.
     """
-    if not 0.0 < sigma_ybar_sq < np.inf:
-        raise ValueError(f"sigma_ybar_sq must be positive and finite, got {sigma_ybar_sq}")
+    _check_input_power(sigma_ybar_sq)
     sq = _expected_distortion(q.thresholds, q.levels, np.sqrt(sigma_ybar_sq))
     return GainModelFit(sigma_q_sq=sq, sigma_ybar_sq=sigma_ybar_sq, sample_count=0)
 

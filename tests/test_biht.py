@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from corrcs import biht
 from corrcs.biht import (
     BihtProblem,
     hard_threshold,
@@ -88,16 +89,12 @@ def test_sign_convention_maps_zero_to_plus_one():
     assert out.tolist() == [-1.0, 1.0, 1.0, 1.0]
 
 
-def test_single_full_support_step_is_pure_gradient():
+def test_single_full_support_step_is_pure_gradient(monkeypatch):
     # with k = n the threshold is the identity, so the first iterate from zero
     # is exactly (step/2) * A^T (signs - sign(0)); with A = I and signs
     # [-1, +1, -1] that step is [-1, 0, -1], already sign-consistent
-    problem = BihtProblem(
-        system_matrix=np.eye(3),
-        signs=np.array([-1.0, 1.0, -1.0]),
-        k=3,
-        max_iterations=1,
-    )
+    monkeypatch.setattr(biht, "_MAX_ITERATIONS", 1)
+    problem = BihtProblem(system_matrix=np.eye(3), signs=np.array([-1.0, 1.0, -1.0]), k=3)
     report = solve_biht(problem)
     assert report.converged
     assert report.iterations == 1
@@ -127,11 +124,12 @@ def test_overdetermined_signs_recover_sparse_signal():
     assert nmse < 0.01
 
 
-def test_solution_sparsity_and_unit_norm():
+def test_solution_sparsity_and_unit_norm(monkeypatch):
+    monkeypatch.setattr(biht, "_MAX_ITERATIONS", 50)
     rng = np.random.default_rng(21)
     for trial in range(5):
         a, _, signs = sign_instance(rng, 64, 96, 4)
-        report = solve_biht(BihtProblem(a, signs, k=4, max_iterations=50))
+        report = solve_biht(BihtProblem(a, signs, k=4))
         assert np.count_nonzero(report.solution) <= 4
         assert np.linalg.norm(report.solution) == pytest.approx(1.0, abs=1e-12)
 
@@ -146,12 +144,13 @@ def test_converged_means_zero_sign_mismatches():
     assert report.residual_norm == 0.0
 
 
-def test_residual_norm_counts_sign_disagreements():
+def test_residual_norm_counts_sign_disagreements(monkeypatch):
     # starve the iteration so it stops short, then check the reported residual
     # is exactly twice the square root of the remaining mismatch count
+    monkeypatch.setattr(biht, "_MAX_ITERATIONS", 2)
     rng = np.random.default_rng(9)
     a, _, signs = sign_instance(rng, 128, 256, 6)
-    report = solve_biht(BihtProblem(a, signs, k=6, max_iterations=2))
+    report = solve_biht(BihtProblem(a, signs, k=6))
     mismatches = int(
         np.count_nonzero(sign_with_positive_zero(a @ report.solution) != signs)
     )
@@ -160,13 +159,14 @@ def test_residual_norm_counts_sign_disagreements():
     )
 
 
-def test_nonconvergence_reports_false_with_unit_norm_iterate():
+def test_nonconvergence_reports_false_with_unit_norm_iterate(monkeypatch):
     # random signs decoupled from any sparse generator are unrealizable at
     # this sparsity, so the cap is hit and the best iterate comes back
+    monkeypatch.setattr(biht, "_MAX_ITERATIONS", 25)
     rng = np.random.default_rng(13)
     a = rng.normal(0.0, 1.0 / np.sqrt(60), size=(60, 40))
     signs = sign_with_positive_zero(rng.normal(size=60))
-    report = solve_biht(BihtProblem(a, signs, k=2, max_iterations=25))
+    report = solve_biht(BihtProblem(a, signs, k=2))
     assert not report.converged
     assert report.residual_norm > 0.0
     assert np.count_nonzero(report.solution) <= 2
@@ -200,8 +200,6 @@ def test_problem_validation():
         BihtProblem(a, good_signs, k=0)
     with pytest.raises(ValueError):
         BihtProblem(a, good_signs, k=4)
-    with pytest.raises(ValueError):
-        BihtProblem(a, good_signs, k=1, max_iterations=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -421,6 +421,29 @@ def test_infeasible_radius_reports_nonconverged():
     assert report.residual_norm == pytest.approx(floor, rel=1e-2)
 
 
+def test_stall_outside_the_band_goes_to_the_root_update_then_stops(monkeypatch):
+    # At a 1e15 matrix scale no step descends and every root update falls
+    # inside the tau resolution: patience runs out at the zero iterate, the
+    # reading goes to the root update, and the second stall at the same
+    # residual stops the solve. No other test reaches this path.
+    calls = []
+    original = bpdn._line_curvy
+
+    def recording(x, g_scaled, fmax, a, y, tau):
+        calls.append((fmax, tau))
+        return original(x, g_scaled, fmax, a, y, tau)
+
+    monkeypatch.setattr(bpdn, "_line_curvy", recording)
+    rng = np.random.default_rng(1)
+    a = 1e15 * rng.normal(size=(10, 30))
+    y = rng.normal(size=10)
+    y *= 1.5 / np.linalg.norm(y)
+    report = solve_bpdn(BpdnProblem(a, y, 1.0))
+    assert calls == [(1.1249999999999998, 0.0)] * 22
+    assert (report.iterations, report.converged) == (0, False)
+    assert report.residual_norm == 1.4999999999999998
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         BpdnProblem(np.eye(3), np.ones(4), 0.1)

@@ -344,10 +344,11 @@ def test_quantizer_non_finite_sigma_exits_one(capsys, tmp_path, sigma):
 
 
 @pytest.mark.parametrize("samples", ["0", "20000"])
-@pytest.mark.parametrize("sigma", ["1e200", "1e160", "1e-170"])
+@pytest.mark.parametrize("sigma", ["1e200", "1e160", "1e-170", "1e-160"])
 def test_quantizer_sigma_whose_square_overflows_exits_one(capsys, tmp_path, sigma, samples):
-    # each sigma is finite but its square is not (or underflows to 0): the
-    # error line names the flag, not a traceback
+    # each sigma is finite but its square is not, underflows to 0, or is
+    # subnormal (1e-320 keeps too few bits for the gain): the error line
+    # names the flag, not a traceback
     out = tmp_path / "q.json"
     code, _, stderr = run_cli(
         capsys, "quantizer", "--design", "lloyd-max", "--bits", "1",

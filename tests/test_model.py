@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from corrcs.biht import BihtProblem
+from corrcs.bpdn import BpdnProblem, SolverReport
 from corrcs.experiments import measure
 from corrcs.model import SensingEnsemble
+from corrcs.quantizers import ScalarQuantizer
 from corrcs.siggen import InstanceConfig
 
 ALPHA_1BIT = 0.636597595
@@ -39,3 +42,25 @@ def test_empirical_total_noise_variance_within_one_percent():
 def test_ensemble_validates_product_and_orthonormality():
     with pytest.raises(ValueError):
         SensingEnsemble.from_matrix(np.ones((3, 2)))  # M > N
+
+
+def test_stored_arrays_are_read_only_and_callers_keep_write_access():
+    a = np.eye(3)
+    y = np.array([1.0, -1.0, 1.0])
+    thresholds, levels = np.array([0.0]), np.array([-1.0, 1.0])
+    solution = np.zeros(3)
+    stored = [
+        BpdnProblem(a, y, 0.1).system_matrix,
+        BpdnProblem(a, y, 0.1).observed,
+        BihtProblem(a, y, k=1).system_matrix,
+        BihtProblem(a, y, k=1).signs,
+        ScalarQuantizer(thresholds, levels, 1).thresholds,
+        ScalarQuantizer(thresholds, levels, 1).levels,
+        SolverReport(solution, 0.0, 0.0, 0, True).solution,
+    ]
+    for caller_array in (a, y, thresholds, levels, solution):
+        assert caller_array.flags.writeable
+    for field in stored:
+        assert not field.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0.0

@@ -16,7 +16,12 @@ own `src`:
 - `reproduce --figure table1`;
 - `reproduce --figure table2 --scale desk --trials 3` (the tuning recipe);
 - `quantizer --design lloyd-max|uniform --bits 1|3`, with the analytic gain
-  model, and `--bits 1 --samples 20000`, with the sampled fit.
+  model, and `--bits 1 --samples 20000`, with the sampled fit;
+- `solve` on one fixed 40 x 100 instance (Gaussian matrix, 5-sparse signal,
+  small noise) that the script writes from `random.Random(0)`:
+  `--method bpdn` and `--method bpdn-scale --bits 1` at `--epsilon 0.1`, and
+  `--method biht --k 5`; and `--method bpdn` on the same matrix scaled by
+  1e15, where no step descends and the solver stops unconverged (exit 2).
 
 For each file the script prints "equal", or the largest relative difference
 among the numbers in it (or why the two cannot be compared number by number).
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -43,9 +49,32 @@ from bench_pairs import export, git  # noqa: E402
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
-def recipes() -> list:
+def write_solve_instance(directory: str) -> dict:
+    """Write the fixed `solve` instance as CSV files in `directory`; their paths
+    by name (matrix, matrix-1e15, y)."""
+    rnd = random.Random(0)
+    m, n, k = 40, 100, 5
+    a = [[rnd.gauss(0.0, m**-0.5) for _ in range(n)] for _ in range(m)]
+    x = [0.0] * n
+    for j in rnd.sample(range(n), k):
+        x[j] = rnd.gauss(0.0, 1.0)
+    y = [sum(aij * xj for aij, xj in zip(row, x)) + rnd.gauss(0.0, 0.01) for row in a]
+    rows = {
+        "matrix": a,
+        "matrix-1e15": [[1e15 * aij for aij in row] for row in a],
+        "y": [[v] for v in y],
+    }
+    paths = {}
+    for name, values in rows.items():
+        paths[name] = os.path.join(directory, f"{name}.csv")
+        with open(paths[name], "w") as fh:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in values)
+    return paths
+
+
+def recipes(solve_inputs: dict) -> list:
     """(name, CLI arguments, output file name or None for a directory) for
-    every run of the set."""
+    every run of the set; `solve_inputs` is what write_solve_instance returns."""
     out = []
     for figure in ("fig2", "fig3", "fig4"):
         for workers in (1, 2):
@@ -76,6 +105,15 @@ def recipes() -> list:
         out.append((f"quantizer-{design}-bits1-samples20000",
                     ["quantizer", "--design", design, "--bits", "1", "--samples", "20000"],
                     "quantizer.json"))
+    for name, matrix, method in (
+        ("bpdn", "matrix", ["bpdn", "--epsilon", "0.1"]),
+        ("bpdn-scale-bits1", "matrix", ["bpdn-scale", "--bits", "1", "--epsilon", "0.1"]),
+        ("biht-k5", "matrix", ["biht", "--k", "5"]),
+        ("bpdn-matrix1e15", "matrix-1e15", ["bpdn", "--epsilon", "0.1"]),
+    ):
+        out.append((f"solve-{name}",
+                    ["solve", "--matrix", solve_inputs[matrix], "--y", solve_inputs["y"],
+                     "--method", *method], "solve"))
     return out
 
 
@@ -87,7 +125,7 @@ def run(tree: str, name: str, args: list, out_file, out_root: str) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-m", "corrcs", *args, "--out", target],
                           cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 2):  # 2: a flagged grid point, still written
+    if proc.returncode not in (0, 2):  # 2: a flagged point or solve, still written
         print(f"{name}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", flush=True)
     return proc.returncode
 
@@ -147,7 +185,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for side in sides:
             export(commits[side], os.path.join(tmp, side))
-        for name, cli_args, out_file in recipes():
+        solve_inputs = write_solve_instance(tmp)
+        for name, cli_args, out_file in recipes(solve_inputs):
             codes = {
                 side: run(os.path.join(tmp, side), name, cli_args, out_file,
                           os.path.join(tmp, f"{side}-out"))
