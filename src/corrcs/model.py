@@ -16,7 +16,7 @@ import numpy as np
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A view of `arr` that cannot be written; `arr` itself keeps its flags."""
     view = arr.view()
-    view.setflags(write=False)
+    view.flags.writeable = False
     return view
 
 
