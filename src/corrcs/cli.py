@@ -25,6 +25,7 @@ from .experiments import (
     CSV_COLUMNS,
     CSV_HEADER,
     ExperimentConfig,
+    METHODS,
     GridPointResult,
     _design,
     _write_json,
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
     slv = sub.add_parser("solve", help="reconstruct one signal from files")
     slv.add_argument("--matrix", required=True, help="CSV, one row per matrix row")
     slv.add_argument("--y", required=True, help="CSV, one measurement per row")
-    slv.add_argument("--method", required=True, choices=("bpdn", "bpdn-scale", "biht"))
+    slv.add_argument("--method", required=True, choices=METHODS)
     slv.add_argument("--alpha", type=float, default=None)
     slv.add_argument("--bits", type=int, default=None,
                      help="derive alpha from this bit depth when --alpha is absent")
@@ -295,10 +296,6 @@ def _load_vector(path: str) -> np.ndarray:
 def _cmd_solve(args) -> int:
     a = _load_csv(args.matrix, 2)
     y = _load_vector(args.y)
-    if y.size != a.shape[0]:
-        raise ValueError(
-            f"y length {y.size} does not match matrix rows {a.shape[0]}"
-        )
 
     if args.method == "biht":
         if args.k is None:
@@ -350,6 +347,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_quantizer(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0 (0 = analytic), got {args.samples}")
     builder = design_lloyd_max if args.design == "lloyd-max" else design_uniform_mmse
     q = builder(args.bits, args.sigma)
     # a product under- or overflows to 0 or inf, where float ** would raise

@@ -22,7 +22,6 @@ Methods
 bpdn         l1 recovery with fidelity radius from the sigma_q rule (total noise).
 bpdn-scale   l1 recovery with radius from the sigma_r rule (uncorrelated part),
              solution divided by alpha.
-bpdn-beta    like bpdn-scale but divided by a caller-chosen beta.
 biht         1-bit baseline on sign measurements against unit-norm truth.
 
 Instances: draw_instance draws a trial's signal, matrix, noiseless
@@ -76,10 +75,10 @@ from .quantizers import (
 from .siggen import InstanceConfig, generate_ensemble, generate_signal, purpose_rng
 
 NOISE_MODES = ("artificial-correlated", "lloyd-max-quantized", "uniform-quantized")
-METHODS = ("bpdn", "bpdn-scale", "bpdn-beta", "biht")
+METHODS = ("bpdn", "bpdn-scale", "biht")
 
-#: Results CSV columns in file order, each with the type its text reads back
-#: as; float columns are written at 17 significant digits.
+#: Results CSV columns in file order, each with its value type; float columns
+#: are written at 17 significant digits.
 CSV_COLUMNS = {
     "n": int, "m": int, "k": int, "delta": float, "rho": float, "method": str,
     "noise_mode": str, "bits": int, "trials": int, "mean_nmse": float,
@@ -90,7 +89,7 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 # Two-sided 99% normal quantile for confidence-interval half-widths.
 CI99_FACTOR = float(ndtri(0.995))
 
-MANIFEST_FORMAT = "corrcs-manifest/2"
+MANIFEST_FORMAT = "corrcs-manifest/3"
 
 #: Fraction of non-converged trials above which a grid point is flagged.
 NONCONVERGED_FLAG_FRACTION = 0.01
@@ -111,6 +110,18 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(diff @ diff) / denom
 
 
+def _check_methods(methods: Tuple[str, ...], allowed: Tuple[str, ...]) -> None:
+    """Raise ValueError unless `methods` is non-empty, drawn from `allowed` and
+    free of repeats (a repeat would run and write its rows twice)."""
+    if not methods:
+        raise ValueError("methods must be non-empty")
+    for method in methods:
+        if method not in allowed:
+            raise ValueError(f"method must be one of {allowed}, got {method!r}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat, got {methods!r}")
+
+
 def improvement_db(p_baseline: float, p_method: float) -> float:
     """Error-ratio improvement 10*log10(p_baseline / p_method) in dB."""
     if not p_baseline > 0.0:
@@ -124,9 +135,8 @@ def improvement_db(p_baseline: float, p_method: float) -> float:
 class ExperimentConfig:
     """Everything needed to rerun an experiment bit-identically.
 
-    explicit_epsilon=None sizes each method's radius by the radius rule. A
-    value, read at the reference scale sqrt(K/M) and rescaled to each trial's
-    signal power like everything else, is every method's radius instead.
+    Each method's radius follows the radius rule of its METHODS entry; methods
+    run in the given order and may not repeat.
     """
 
     grid: Tuple[Tuple[int, int, int], ...]
@@ -135,8 +145,6 @@ class ExperimentConfig:
     methods: Tuple[str, ...]
     master_seed: int
     bits: int = 1
-    explicit_epsilon: Optional[float] = None
-    beta: Optional[float] = None
     normalize_signals: bool = False
     retain_trials: bool = False
 
@@ -155,18 +163,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}"
             )
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        _check_methods(self.methods, METHODS)
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
-        eps = self.explicit_epsilon
-        if eps is not None and not 0.0 <= eps < np.inf:
-            raise ValueError(f"explicit_epsilon must be finite and >= 0, got {eps}")
-        if "bpdn-beta" in self.methods and (self.beta is None or not self.beta > 0.0):
-            raise ValueError("method bpdn-beta requires beta > 0")
 
 
 @dataclass(frozen=True)
@@ -275,18 +274,11 @@ def _run_trial(
         n=n, m=m, k=k, master_seed=config.master_seed, trial_index=trial_index
     )
     x, a, ybar, sigma_t_sq = draw_instance(cfg, normalize=config.normalize_signals)
-    sigma_t = float(np.sqrt(sigma_t_sq))
     outcomes: List[Dict[str, Tuple[float, bool]]] = []
     for alpha, quantizer in depths:
         y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer)
         sigma_q = float(np.sqrt((1.0 - alpha) * sigma_t_sq))
         sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
-        if config.explicit_epsilon is not None:
-            scale = sigma_t / float(np.sqrt(k / m))
-            eps_bpdn = eps_scaled = float(config.explicit_epsilon) * scale
-        else:
-            eps_bpdn = epsilon_rule(m, sigma_q)
-            eps_scaled = epsilon_rule(m, sigma_r)
 
         out: Dict[str, Tuple[float, bool]] = {}
         for method in config.methods:
@@ -297,11 +289,9 @@ def _run_trial(
                 out[method] = (nmse(report.solution, truth), report.converged)
                 continue
             if method == "bpdn":
-                report = solve_bpdn(BpdnProblem(a, y, eps_bpdn))
-            elif method == "bpdn-scale":
-                report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), alpha)
-            else:  # bpdn-beta
-                report = solve_post_scaled(BpdnProblem(a, y, eps_scaled), config.beta)
+                report = solve_bpdn(BpdnProblem(a, y, epsilon_rule(m, sigma_q)))
+            else:  # bpdn-scale
+                report = solve_post_scaled(BpdnProblem(a, y, epsilon_rule(m, sigma_r)), alpha)
             out[method] = (nmse(report.solution, x), report.converged)
         outcomes.append(out)
     return outcomes
@@ -464,11 +454,9 @@ def run_phase_sweep(
         raise ValueError("delta_step and rho_step must be in (0, 1]")
     if not nmse_cutoff > 0.0:
         raise ValueError(f"nmse_cutoff must be > 0, got {nmse_cutoff}")
-    if n < 1 or not methods:
-        raise ValueError(f"need n >= 1 and a method, got n={n}, methods={methods!r}")
-    for method in methods:
-        if method not in ("bpdn-scale", "biht"):
-            raise ValueError(f"phase sweep supports bpdn-scale and biht, got {method!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_methods(tuple(methods), ("bpdn-scale", "biht"))
 
     deltas = [
         float(delta)
@@ -618,21 +606,6 @@ def write_results_csv(path: str, points: Sequence[GridPointResult]) -> None:
             )
 
 
-def read_results_csv(path: str) -> Tuple[GridPointResult, ...]:
-    """Read back rows written by write_results_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(CSV_COLUMNS):
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return tuple(
-            GridPointResult(
-                **{name: CSV_COLUMNS[name](cell) for name, cell in zip(header, row, strict=True)}
-            )
-            for row in reader
-        )
-
-
 def _write_manifest(
     path: str, kind: str, key: str, body: dict, points: Sequence[GridPointResult]
 ) -> None:
@@ -659,36 +632,8 @@ def write_manifest(path: str, result: ExperimentResult) -> None:
     _write_manifest(path, "experiment", "config", asdict(result.config), result.points)
 
 
-def _load_manifest(path: str, kind: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"unexpected manifest format {payload.get('format')!r}")
-    if payload.get("kind", "experiment") != kind:
-        raise ValueError(f"expected a {kind} manifest, got {payload.get('kind')!r}")
-    return payload
-
-
-def read_manifest(path: str) -> ExperimentResult:
-    """Load a manifest written by write_manifest."""
-    payload = _load_manifest(path, "experiment")
-    raw = dict(payload["config"])
-    raw["grid"] = tuple(tuple(point) for point in raw["grid"])
-    raw["methods"] = tuple(raw["methods"])
-    config = ExperimentConfig(**raw)
-    points = tuple(GridPointResult(**point) for point in payload["points"])
-    return ExperimentResult(config=config, points=points)
-
-
 def write_sweep_manifest(
     path: str, params: dict, points: Sequence[GridPointResult]
 ) -> None:
     """Persist phase-sweep parameters and cells as JSON."""
     _write_manifest(path, "phase-sweep", "sweep", dict(params), points)
-
-
-def read_sweep_manifest(path: str) -> Tuple[dict, Tuple[GridPointResult, ...]]:
-    """Load a manifest written by write_sweep_manifest."""
-    payload = _load_manifest(path, "phase-sweep")
-    points = tuple(GridPointResult(**point) for point in payload["points"])
-    return dict(payload["sweep"]), points

@@ -204,12 +204,13 @@ def test_solve_rejects_bad_epsilon_and_mismatched_dimensions(capsys, tmp_path, s
     assert "epsilon" in stderr
     short = tmp_path / "short.csv"
     np.savetxt(short, np.ones(7), fmt="%.17g")
-    code, _, stderr = run_cli(
-        capsys, "solve", "--matrix", matrix, "--y", str(short),
-        "--method", "bpdn", "--epsilon", "1.0", "--out", str(tmp_path / "x"),
-    )
-    assert code == 1
-    assert "match" in stderr
+    for method in (["bpdn", "--epsilon", "1.0"], ["biht", "--k", "3"]):
+        code, _, stderr = run_cli(
+            capsys, "solve", "--matrix", matrix, "--y", str(short),
+            "--method", *method, "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "length 7 does not match matrix rows 30" in stderr
 
 
 def test_solve_missing_file_exits_one(capsys, tmp_path, solve_files):
@@ -329,6 +330,18 @@ def test_quantizer_zero_bits_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert "bits" in stderr
+
+
+def test_quantizer_negative_samples_exits_one(capsys, tmp_path):
+    # only 0 selects the analytic model; a negative count is an error
+    out = tmp_path / "q.json"
+    code, _, stderr = run_cli(
+        capsys, "quantizer", "--design", "lloyd-max", "--bits", "1",
+        "--samples", "-5", "--out", str(out),
+    )
+    assert code == 1
+    assert "--samples" in stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -468,10 +481,15 @@ def test_phase_sweep_rejects_unknown_method(capsys, tmp_path):
     assert "bpdn" in stderr
 
 
-@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--methods", "")])
+@pytest.mark.parametrize(
+    "flag, value", [("--n", "0"), ("--methods", ""), ("--methods", "biht,biht")]
+)
 def test_phase_sweep_without_cells_exits_one(capsys, tmp_path, flag, value):
+    # a small sweep, so a check that lets the bad value through fails fast;
+    # a repeated method would write each of its cells twice
     code, _, stderr = run_cli(
-        capsys, "phase-sweep", flag, value, "--out", str(tmp_path),
+        capsys, "phase-sweep", "--n", "16", "--delta-step", "0.5", "--rho-step", "0.5",
+        "--trials", "1", "--workers", "1", flag, value, "--out", str(tmp_path),
     )
     assert code == 1
     assert "phase-sweep: error" in stderr

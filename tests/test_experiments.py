@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from corrcs import experiments
-from corrcs.bpdn import epsilon_rule
+from corrcs.bpdn import BpdnProblem, epsilon_rule, solve_post_scaled
 from corrcs.experiments import (
     CI99_FACTOR,
+    MANIFEST_FORMAT,
     ExperimentConfig,
     GridPointResult,
+    draw_instance,
     improvement_db,
+    measure,
     nmse,
-    read_manifest,
-    read_results_csv,
-    read_sweep_manifest,
     run_experiment,
     run_experiments,
     run_phase_sweep,
@@ -25,6 +25,7 @@ from corrcs.experiments import (
     write_results_csv,
     write_sweep_manifest,
 )
+from corrcs.siggen import InstanceConfig
 
 SMALL = dict(
     grid=((64, 32, 3),),
@@ -137,27 +138,6 @@ def test_result_point_lookup():
         result.point(64, 32, 4, "bpdn")
 
 
-def test_csv_roundtrip_preserves_all_fields(tmp_path):
-    result = run_experiment(ExperimentConfig(**SMALL))
-    path = str(tmp_path / "points.csv")
-    write_results_csv(path, result.points)
-    assert read_results_csv(path) == result.points
-
-
-def test_csv_reader_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_results_csv(str(path))
-
-
-def test_manifest_roundtrip(tmp_path):
-    result = run_experiment(ExperimentConfig(**SMALL))
-    path = str(tmp_path / "run.json")
-    write_manifest(path, result)
-    assert read_manifest(path) == result
-
-
 _PINNED_CSV = (
     "n,m,k,delta,rho,method,noise_mode,bits,trials,mean_nmse,ci99,nonconverged\n"
     "1000,200,6,0.20000000000000001,0.029999999999999999,bpdn,lloyd-max-quantized,"
@@ -169,9 +149,7 @@ _PINNED_CSV = (
 _PINNED_MANIFEST = """\
 {
   "config": {
-    "beta": null,
     "bits": 1,
-    "explicit_epsilon": null,
     "grid": [
       [
         1000,
@@ -189,7 +167,7 @@ _PINNED_MANIFEST = """\
     "retain_trials": false,
     "trials": 3
   },
-  "format": "corrcs-manifest/2",
+  "format": "corrcs-manifest/3",
   "kind": "experiment",
   "library_version": "0.1.0",
   "master_seed": 5,
@@ -228,8 +206,8 @@ _PINNED_MANIFEST = """\
 
 
 def test_csv_and_manifest_bytes_are_pinned(tmp_path):
-    # a format that still reads back (repr for ".17g", reordered keys or
-    # columns) would pass the round trips above; the literal text would not
+    # the literal text pins the writers: ".17g" floats, column and key order,
+    # the config echo, the manifest envelope and its format string
     row = dict(n=1000, m=200, k=6, delta=0.2, rho=0.03,
                noise_mode="lloyd-max-quantized", bits=1, trials=3)
     points = (
@@ -248,19 +226,6 @@ def test_csv_and_manifest_bytes_are_pinned(tmp_path):
     assert manifest_path.read_bytes() == _PINNED_MANIFEST.encode()
 
 
-def test_manifest_of_the_previous_format_is_rejected(tmp_path):
-    # format 1 also held the alpha, sigma_w_sq and epsilon_mode config keys
-    result = run_experiment(ExperimentConfig(**SMALL))
-    path = tmp_path / "run.json"
-    write_manifest(str(path), result)
-    payload = json.loads(path.read_text())
-    payload["format"] = "corrcs-manifest/1"
-    payload["config"].update(alpha=None, sigma_w_sq=None, epsilon_mode="rule")
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="manifest format"):
-        read_manifest(str(path))
-
-
 def test_sweep_manifest_roundtrip_and_kind_check(tmp_path):
     cells = run_phase_sweep(
         delta_step=0.5, rho_step=0.25, trials=2, n=16, master_seed=3
@@ -269,11 +234,14 @@ def test_sweep_manifest_roundtrip_and_kind_check(tmp_path):
               "master_seed": 3}
     path = str(tmp_path / "sweep.json")
     write_sweep_manifest(path, params, cells)
-    loaded_params, loaded_cells = read_sweep_manifest(path)
-    assert loaded_params == params
-    assert loaded_cells == cells
-    with pytest.raises(ValueError):
-        read_manifest(path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["format"] == MANIFEST_FORMAT
+    assert payload["kind"] == "phase-sweep"
+    assert "config" not in payload
+    assert payload["sweep"] == params
+    assert payload["master_seed"] == 3
+    assert [GridPointResult(**point) for point in payload["points"]] == list(cells)
 
 
 def test_phase_sweep_skips_empty_cells_and_stops_past_cutoff():
@@ -440,6 +408,8 @@ def test_phase_sweep_validation():
     with pytest.raises(ValueError):
         run_phase_sweep(methods=())
     with pytest.raises(ValueError):
+        run_phase_sweep(methods=("biht", "biht"))
+    with pytest.raises(ValueError):
         run_phase_sweep(n=0)
     with pytest.raises(ValueError):
         run_phase_sweep(workers=0)
@@ -465,25 +435,26 @@ def test_tuning_objective_caches_solves_per_epsilon():
 
 
 def test_tuning_objective_matches_direct_scaled_recovery():
-    # the cached quadratic-form evaluation must agree with actually solving
-    # and scoring the beta-scaled recovery through the harness
+    # the cached quadratic-form evaluation at beta != alpha must agree with
+    # solving, dividing by beta and scoring each of the grid's instances
     obj = tuning_objective(m=32, k=2, trials=4, master_seed=7, n=64)
     eps0 = obj.reference_epsilon()
-    config = ExperimentConfig(
-        grid=((64, 32, 2),),
-        trials=4,
-        noise_mode="artificial-correlated",
-        methods=("bpdn-beta",),
-        master_seed=7,
-        beta=0.8,
-        explicit_epsilon=eps0,
-    )
-    direct = run_experiment(config).points[0].mean_nmse
-    assert obj(0.8, eps0) == pytest.approx(direct, rel=1e-12)
+    sigma_ref = np.sqrt(2.0 / 32.0)
+    direct = []
+    for trial in range(4):
+        cfg = InstanceConfig(n=64, m=32, k=2, master_seed=7, trial_index=trial)
+        x, a, ybar, sigma_t_sq = draw_instance(cfg)
+        y = measure(cfg, ybar, sigma_t_sq, obj.alpha, None)
+        problem = BpdnProblem(a, y, eps0 * float(np.sqrt(sigma_t_sq)) / sigma_ref)
+        direct.append(nmse(solve_post_scaled(problem, 0.8).solution, x))
+    assert obj(0.8, eps0) == pytest.approx(float(np.mean(direct)), rel=1e-12, abs=0.0)
 
 
 def test_tuning_objective_solves_the_grids_problems(monkeypatch):
-    # the tuner's cached instances and radii are the grid's, bit for bit
+    # at (alpha, reference radius) the tuner solves the grid's bpdn-scale
+    # problems: the same measurement bytes, and radii that differ only by the
+    # rounding of reference radius * sigma_t / sigma_ref against the rule at
+    # sigma_r; the NMSE is the grid's
     problems = []
 
     def recording(a, y, epsilon):
@@ -493,22 +464,22 @@ def test_tuning_objective_solves_the_grids_problems(monkeypatch):
     original = experiments.BpdnProblem
     monkeypatch.setattr(experiments, "BpdnProblem", recording)
     obj = tuning_objective(m=32, k=2, trials=20, master_seed=7, n=64)
-    eps0 = obj.reference_epsilon()
-    obj(0.8, eps0)
+    tuned = obj(obj.alpha, obj.reference_epsilon())
     tuner = problems.copy()
     problems.clear()
     config = ExperimentConfig(
         grid=((64, 32, 2),),
         trials=20,
         noise_mode="artificial-correlated",
-        methods=("bpdn-beta",),
+        methods=("bpdn-scale",),
         master_seed=7,
-        beta=0.8,
-        explicit_epsilon=eps0,
     )
-    run_experiment(config)
-    assert len(tuner) == 20
-    assert tuner == problems
+    grid = run_experiment(config).points[0].mean_nmse
+    assert len(tuner) == len(problems) == 20
+    for (y_tuner, eps_tuner), (y_grid, eps_grid) in zip(tuner, problems):
+        assert y_tuner == y_grid
+        assert eps_tuner == pytest.approx(eps_grid, rel=1e-15, abs=0.0)
+    assert tuned == pytest.approx(grid, rel=1e-12, abs=0.0)
 
 
 def test_tuning_objective_rejects_infeasible_points_with_inf():
@@ -544,11 +515,8 @@ def test_config_validation():
         ExperimentConfig(**{**good, "methods": ("lasso",)})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "bits": 0})
-    for bad in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**good, "explicit_epsilon": bad})
     with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "methods": ("bpdn-beta",)})
+        ExperimentConfig(**{**good, "methods": ("bpdn", "bpdn-scale", "bpdn")})
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(**good), workers=0)
 

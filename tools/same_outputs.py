@@ -25,8 +25,10 @@ own `src`:
 
 For each file the script prints "equal", or the largest relative difference
 among the numbers in it (or why the two cannot be compared number by number).
-JSON files are parsed and compared value by value, so a changed string reads
-"text differs" and never counts as a numeric move.
+JSON files are parsed and compared value by value, key path by key path: a
+changed string reads "text differs at $.format" and never counts as a
+numeric move, a key on one side only reads "structure differs: only in base
+$.config.beta", and the numbers both sides hold are still compared.
 It exits 1 when any file or exit status differs, or a run fails. Seeded
 outputs depend on the BLAS thread count, so run both sides in the same
 environment. Uses the standard library only.
@@ -146,23 +148,37 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _named(paths: list, limit: int = 4) -> str:
+    """The first `limit` of `paths`, comma-separated, with a count of the rest."""
+    shown = ", ".join(paths[:limit])
+    return shown if len(paths) <= limit else f"{shown} and {len(paths) - limit} more"
+
+
 def compare(a: bytes, b: bytes, is_json: bool = False) -> str:
     """"equal", or the largest relative difference among the files' numbers.
 
-    With `is_json` both sides are parsed, and only number values are compared
-    as numbers; a string, boolean or null that differs is "text differs".
+    With `is_json` both sides are parsed and their leaves matched by key path.
+    A path on one side only reads "structure differs" and a string, boolean
+    or null that differs reads "text differs", each with the paths named;
+    the number leaves both sides share are still compared as numbers.
     """
     if a == b:
         return "equal"
     ta, tb = a.decode(), b.decode()
+    notes = []
     if is_json:
-        la, lb = list(_leaves(json.loads(ta))), list(_leaves(json.loads(tb)))
-        if [path for path, _ in la] != [path for path, _ in lb]:
-            return "structure differs"
-        pairs = [(x, y) for (_, x), (_, y) in zip(la, lb)]
-        if any(x != y and not (_is_number(x) and _is_number(y)) for x, y in pairs):
-            return "text differs"
-        numbers = [(float(x), float(y)) for x, y in pairs if _is_number(x)]
+        la, lb = dict(_leaves(json.loads(ta))), dict(_leaves(json.loads(tb)))
+        for side, mine, other in (("base", la, lb), ("change", lb, la)):
+            alone = [path for path in mine if path not in other]
+            if alone:
+                notes.append(f"structure differs: only in {side} {_named(alone)}")
+        shared = [path for path in la if path in lb]
+        text = [path for path in shared if la[path] != lb[path]
+                and not (_is_number(la[path]) and _is_number(lb[path]))]
+        if text:
+            notes.append(f"text differs at {_named(text)}")
+        numbers = [(float(la[path]), float(lb[path])) for path in shared
+                   if _is_number(la[path]) and _is_number(lb[path])]
     else:
         if NUMBER.sub("#", ta) != NUMBER.sub("#", tb):
             return "text differs"
@@ -171,7 +187,7 @@ def compare(a: bytes, b: bytes, is_json: bool = False) -> str:
     for x, y in numbers:
         if x != y:
             worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return f"max relative difference {worst:.3g}"
+    return "; ".join(notes + [f"max relative difference {worst:.3g}"])
 
 
 def main(argv=None) -> int:
