@@ -24,8 +24,8 @@ from .bpdn import BpdnProblem, SolverReport, epsilon_rule, solve_bpdn, solve_pos
 from .experiments import (
     CSV_COLUMNS,
     CSV_HEADER,
-    ExperimentConfig,
     METHODS,
+    ExperimentConfig,
     GridPointResult,
     _design,
     _write_json,

@@ -135,8 +135,8 @@ def improvement_db(p_baseline: float, p_method: float) -> float:
 class ExperimentConfig:
     """Everything needed to rerun an experiment bit-identically.
 
-    Each method's radius follows the radius rule of its METHODS entry; methods
-    run in the given order and may not repeat.
+    Methods run in the given order, each at most once: bpdn at the sigma_q
+    radius rule, bpdn-scale at the sigma_r rule (see the module's Methods).
     """
 
     grid: Tuple[Tuple[int, int, int], ...]
