@@ -153,7 +153,7 @@ def _plot_script(title: str, y_expr: str) -> str:
 
 def _using(*columns: str) -> str:
     """gnuplot `using` spec of results-CSV columns, by name (1-based positions)."""
-    return ":".join(str(list(CSV_COLUMNS).index(name) + 1) for name in columns)
+    return ":".join(str(CSV_COLUMNS.index(name) + 1) for name in columns)
 
 
 def _flagged_exit(points: Sequence[GridPointResult]) -> int:

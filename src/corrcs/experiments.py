@@ -35,9 +35,12 @@ does not depend on the bit depth, so run_experiments runs configs that
 differ only in bits as one pass: a job draws its instance once and then
 measures and solves it at every depth in turn; in artificial-correlated
 mode the noise stream is re-seeded for each depth, so each depth sees the
-draw it would see alone. The phase sweep's job is one delta column. _map is
-the one fan-out: it runs a list of jobs inline at one worker and on one
-process pool otherwise.
+draw it would see alone. The phase sweep's job is one delta column. A
+trial's matrix depends on (N, M) and not on K, so a column draws each
+trial's matrix once and reuses it in every cell, holding matrices up to
+COLUMN_MATRIX_BYTES; the trials beyond that cap redraw theirs per cell.
+_map is the one fan-out: it runs a list of jobs inline at one worker and on
+one process pool otherwise.
 
 Reproducibility: results are bit-identical for a given config and master
 seed regardless of worker count, because every trial derives its own seed
@@ -77,13 +80,13 @@ from .siggen import InstanceConfig, generate_ensemble, generate_signal, purpose_
 NOISE_MODES = ("artificial-correlated", "lloyd-max-quantized", "uniform-quantized")
 METHODS = ("bpdn", "bpdn-scale", "biht")
 
-#: Results CSV columns in file order, each with its value type; float columns
-#: are written at 17 significant digits.
-CSV_COLUMNS = {
-    "n": int, "m": int, "k": int, "delta": float, "rho": float, "method": str,
-    "noise_mode": str, "bits": int, "trials": int, "mean_nmse": float,
-    "ci99": float, "nonconverged": int,
-}
+#: Results CSV columns in file order; those in _CSV_FLOATS are written at 17
+#: significant digits.
+CSV_COLUMNS = (
+    "n", "m", "k", "delta", "rho", "method", "noise_mode", "bits", "trials",
+    "mean_nmse", "ci99", "nonconverged",
+)
+_CSV_FLOATS = frozenset({"delta", "rho", "mean_nmse", "ci99"})
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 # Two-sided 99% normal quantile for confidence-interval half-widths.
@@ -93,6 +96,10 @@ MANIFEST_FORMAT = "corrcs-manifest/3"
 
 #: Fraction of non-converged trials above which a grid point is flagged.
 NONCONVERGED_FLAG_FRACTION = 0.01
+
+#: Bytes of trial matrices a phase-sweep column holds for reuse across its
+#: cells (per worker); 100 trials at N = M = 256 take 52 MB.
+COLUMN_MATRIX_BYTES = 64 * 2**20
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -224,18 +231,32 @@ def _design(noise_mode: str, bits: int) -> Tuple[float, Optional[ScalarQuantizer
     return alpha, (None if noise_mode == "artificial-correlated" else q)
 
 
+def _draw_matrix(cfg: InstanceConfig) -> np.ndarray:
+    """A trial's read-only M x N matrix. Its stream is keyed by (master_seed,
+    trial_index) and its shape is (M, N), so it does not depend on K: every
+    cell of a phase-sweep column draws the same matrix for a given trial."""
+    return generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
+
+
+def _instance_on(
+    cfg: InstanceConfig, a: np.ndarray, normalize: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The trial's instance on its matrix `a`: draw the signal x and return
+    (x, A, ybar = A x, sigma_t^2 = x.x / M)."""
+    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
+    return x, a, a @ x, float(x @ x) / cfg.m
+
+
 def draw_instance(
     cfg: InstanceConfig, normalize: bool = False
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Draw one trial's instance: (x, A, ybar = A x, sigma_t^2 = x.x / M).
 
-    The signal stream is drawn before the matrix stream; both are keyed by
-    (master_seed, trial_index), so the draw does not depend on the bit depth,
-    the noise mode or the caller.
+    The signal and matrix streams are independent and both keyed by
+    (master_seed, trial_index), so the draw does not depend on the order of
+    the two, the bit depth, the noise mode or the caller.
     """
-    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
-    a = generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
-    return x, a, a @ x, float(x @ x) / cfg.m
+    return _instance_on(cfg, _draw_matrix(cfg), normalize)
 
 
 def measure(
@@ -263,9 +284,11 @@ def _run_trial(
     config: ExperimentConfig,
     depths: Tuple[Tuple[float, Optional[ScalarQuantizer]], ...],
     job: Tuple[Tuple[int, int, int], int],
+    a: Optional[np.ndarray] = None,
 ) -> List[Dict[str, Tuple[float, bool]]]:
     """Run one job, a (grid point, trial index) pair: draw its instance once,
-    then measure and solve it at each (alpha, quantizer) depth in order.
+    then measure and solve it at each (alpha, quantizer) depth in order. `a`
+    is the trial's matrix when the caller holds it, else it is drawn here.
 
     Returns, per depth, method -> (nmse, converged).
     """
@@ -273,7 +296,9 @@ def _run_trial(
     cfg = InstanceConfig(
         n=n, m=m, k=k, master_seed=config.master_seed, trial_index=trial_index
     )
-    x, a, ybar, sigma_t_sq = draw_instance(cfg, normalize=config.normalize_signals)
+    if a is None:
+        a = _draw_matrix(cfg)
+    x, a, ybar, sigma_t_sq = _instance_on(cfg, a, config.normalize_signals)
     outcomes: List[Dict[str, Tuple[float, bool]]] = []
     for alpha, quantizer in depths:
         y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer)
@@ -299,34 +324,41 @@ def _run_trial(
 
 def _aggregate(
     point: Tuple[int, int, int],
-    method: str,
     config: ExperimentConfig,
-    per_trial: np.ndarray,
-    nonconverged: int,
-) -> GridPointResult:
+    rows: Sequence[Dict[str, Tuple[float, bool]]],
+) -> List[GridPointResult]:
+    """One result per method of `config` at `point`, from its trials' method ->
+    (nmse, converged) rows in trial order."""
     n, m, k = point
-    trials = per_trial.size
-    mean = float(np.mean(per_trial))
-    ci99 = (
-        float(CI99_FACTOR * np.std(per_trial, ddof=1) / np.sqrt(trials))
-        if trials > 1
-        else 0.0
-    )
-    return GridPointResult(
-        n=n,
-        m=m,
-        k=k,
-        delta=float(m / n),
-        rho=float(k / m),
-        method=method,
-        noise_mode=config.noise_mode,
-        bits=config.bits,
-        trials=trials,
-        mean_nmse=mean,
-        ci99=ci99,
-        nonconverged=nonconverged,
-        trial_nmse=tuple(float(v) for v in per_trial) if config.retain_trials else None,
-    )
+    trials = len(rows)
+    results: List[GridPointResult] = []
+    for method in config.methods:
+        per_trial = np.array([row[method][0] for row in rows])
+        ci99 = (
+            float(CI99_FACTOR * np.std(per_trial, ddof=1) / np.sqrt(trials))
+            if trials > 1
+            else 0.0
+        )
+        results.append(
+            GridPointResult(
+                n=n,
+                m=m,
+                k=k,
+                delta=float(m / n),
+                rho=float(k / m),
+                method=method,
+                noise_mode=config.noise_mode,
+                bits=config.bits,
+                trials=trials,
+                mean_nmse=float(np.mean(per_trial)),
+                ci99=ci99,
+                nonconverged=sum(1 for row in rows if not row[method][1]),
+                trial_nmse=(
+                    tuple(float(v) for v in per_trial) if config.retain_trials else None
+                ),
+            )
+        )
+    return results
 
 
 def _map(fn: Callable, items: Sequence, workers: int, chunksize: int) -> list:
@@ -382,10 +414,7 @@ def run_experiments(
                     point_index * config.trials : (point_index + 1) * config.trials
                 ]
             ]
-            for method in config.methods:
-                per_trial = np.array([row[method][0] for row in rows])
-                nonconverged = sum(1 for row in rows if not row[method][1])
-                points.append(_aggregate(point, method, config, per_trial, nonconverged))
+            points.extend(_aggregate(point, config, rows))
         results.append(ExperimentResult(config=config, points=tuple(points)))
     return results
 
@@ -404,8 +433,19 @@ def _sweep_column(
     rho has to stay sequential here because the cutoff decides which methods
     the next cell runs; columns are independent of each other. Each cell
     records the swept (delta, rho), not (M/N, K/M).
+
+    A trial's matrix depends on (N, M) and not on K, so the column draws it
+    once and every cell reuses it, holding as many trials' matrices as fit
+    in COLUMN_MATRIX_BYTES; the trials beyond that redraw theirs per cell.
+    Each cell still draws its own signal and measurements, so the cells
+    equal those of a redraw in every cell.
     """
     m = int(round(delta * n))
+    depths = (_design("lloyd-max-quantized", 1),)
+    held = [
+        _draw_matrix(InstanceConfig(n=n, m=m, k=0, master_seed=master_seed, trial_index=t))
+        for t in range(min(trials, COLUMN_MATRIX_BYTES // (8 * m * n)))
+    ]
     cells: List[GridPointResult] = []
     active = list(methods)
     for rho in np.arange(rho_step, 1.0 + 1e-12, rho_step):
@@ -422,7 +462,11 @@ def _sweep_column(
             master_seed=master_seed,
             normalize_signals=True,
         )
-        for point in run_experiment(config).points:
+        rows = [
+            _run_trial(config, depths, ((n, m, k), t), held[t] if t < len(held) else None)[0]
+            for t in range(trials)
+        ]
+        for point in _aggregate((n, m, k), config, rows):
             cells.append(replace(point, delta=delta, rho=float(rho)))
             if point.mean_nmse > nmse_cutoff:
                 active.remove(point.method)
@@ -448,7 +492,9 @@ def run_phase_sweep(
     sweep is 1-bit by construction (1-bit Lloyd-Max for bpdn-scale, signs for biht).
 
     workers > 1 runs the delta columns on one process pool, one column per
-    job; cells come back in delta order either way.
+    job; cells come back in delta order either way. A column draws each
+    trial's matrix once for all its cells, holding up to COLUMN_MATRIX_BYTES
+    of matrices per worker (see _sweep_column).
     """
     if not 0.0 < delta_step <= 1.0 or not 0.0 < rho_step <= 1.0:
         raise ValueError("delta_step and rho_step must be in (0, 1]")
@@ -600,8 +646,8 @@ def write_results_csv(path: str, points: Sequence[GridPointResult]) -> None:
         for p in points:
             writer.writerow(
                 [
-                    format(getattr(p, name), ".17g") if kind is float else getattr(p, name)
-                    for name, kind in CSV_COLUMNS.items()
+                    format(getattr(p, name), ".17g") if name in _CSV_FLOATS else getattr(p, name)
+                    for name in CSV_COLUMNS
                 ]
             )
 

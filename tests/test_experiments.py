@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcs import experiments
 from corrcs.bpdn import BpdnProblem, epsilon_rule, solve_post_scaled
@@ -329,6 +331,55 @@ def test_phase_sweep_designs_each_quantizer_once(monkeypatch):
     assert len({c.delta for c in cells}) >= 3
     assert len({(c.delta, c.rho) for c in cells}) > 2
     assert len(calls) <= 2, calls
+
+
+def test_phase_sweep_draws_each_trials_matrix_once_per_column(monkeypatch):
+    calls = []
+    original = experiments.generate_ensemble
+
+    def counting(cfg, rng):
+        calls.append((cfg.m, cfg.trial_index))
+        return original(cfg, rng)
+
+    monkeypatch.setattr(experiments, "generate_ensemble", counting)
+    cells = run_phase_sweep(**POOLED_SWEEP, workers=1)
+    columns = {c.m for c in cells}
+    assert len(columns) == 4
+    trials = range(POOLED_SWEEP["trials"])
+    assert sorted(calls) == sorted((m, t) for m in columns for t in trials)
+
+    # With no room to hold a matrix, every cell redraws each trial's matrix,
+    # and the cells are the same.
+    calls.clear()
+    monkeypatch.setattr(experiments, "COLUMN_MATRIX_BYTES", 0)
+    assert run_phase_sweep(**POOLED_SWEEP, workers=1) == cells
+    per_cell = {(c.delta, c.rho) for c in cells}
+    assert len(calls) == len(per_cell) * len(trials)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 1000),
+    normalize=st.booleans(),
+)
+def test_instance_on_a_held_matrix_equals_draw_instance(n, data, seed, trial, normalize):
+    # A column holds the matrix drawn at one K and reuses it at every other K.
+    m = data.draw(st.integers(1, n))
+    k, held_k = data.draw(st.integers(0, m)), data.draw(st.integers(0, m))
+    held = experiments._draw_matrix(InstanceConfig(n, m, held_k, seed, trial))
+    cfg = InstanceConfig(n, m, k, seed, trial)
+    got = experiments._instance_on(cfg, held, normalize)
+    want = draw_instance(cfg, normalize)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # Read-only, so no solve on one cell can change the next cell's matrix.
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0] = 1.0
 
 
 # Configs of one grid figure: the same instances at three bit depths.

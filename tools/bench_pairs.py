@@ -13,7 +13,10 @@ pair's end-to-end metrics, each side's median and quartiles per metric, and
 how many pairs the change won.
 A gain is claimed only when the change wins at least 9 in 10 pairs and the
 medians differ by more than the parent's interquartile distance
-(`claim_met`). Running the script again with the same label adds its
+(`claim_met`). A metric is flagged `regressed` when the change's median is
+worse than the parent's by more than the metric's BENCHMARK.json `bound`,
+a fraction of the parent's median (any worsening when that median is 0).
+Running the script again with the same label adds its
 workloads to the file, replacing an earlier run of the same workload and
 seeds.
 
@@ -126,7 +129,8 @@ def run_once(command, tree, workload, seed, seconds) -> dict:
 
 
 def summarize(pairs, end_to_end) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+    """Per metric: each side's median and quartiles, the change's wins, whether
+    it meets the gain rule, and whether it moved worse than its bound."""
     out = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -155,6 +159,8 @@ def summarize(pairs, end_to_end) -> dict:
             unit=metric["unit"], better=metric["better"], pairs=len(both), wins=wins,
             median_gain=gap, base_iqr=iqr,
             claim_met=wins >= 0.9 * len(both) and gap > iqr,
+            bound=metric["bound"],
+            regressed=-gap > metric["bound"] * abs(entry["base"]["median"]),
         )
         out[name] = entry
     return out
@@ -212,7 +218,8 @@ def main(argv=None) -> int:
                 print(
                     f"{workload} {name}: base {entry['base']['median']:.4g} "
                     f"change {entry['change']['median']:.4g} {entry['unit']}, "
-                    f"wins {entry['wins']}/{entry['pairs']}, claim_met {entry['claim_met']}",
+                    f"wins {entry['wins']}/{entry['pairs']}, claim_met {entry['claim_met']}, "
+                    f"regressed {entry['regressed']}",
                     flush=True,
                 )
     return 0
