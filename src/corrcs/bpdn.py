@@ -7,8 +7,10 @@ solve_bpdn computes
 by Newton root finding on the Pareto curve phi(tau) = min{||y - A z||_2 :
 ||z||_1 <= tau}. Each tau-subproblem is handled by a spectral projected
 gradient iteration with a nonmonotone line search and exact projection onto
-the l1 ball; tau is updated from the subproblem residual whenever the
-subproblem is solved to tolerance or its objective stagnates.
+the l1 ball; tau moves with the subproblem residual whenever the subproblem
+is solved to tolerance or stagnates. The solve ends, converged, once the
+residual is in the root band around epsilon and the subproblem is solved or
+no step descends: converged promises the band, not the l1 optimum.
 
 The projection sorts every magnitude. Sorting only a growing prefix of the
 largest ones gives the same bits, but on the N=1000 grid's projections the
@@ -190,18 +192,17 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
 
     On a converged report the residual satisfies
     ||y - A z||_2 <= epsilon*(1 + 1e-4) + 1e-9 and sits within 1e-3 relative
-    of epsilon from below (the solution lies on the constraint boundary),
-    except in the rare case where no floating-point tau places it in that
-    band, accepted only once the root update itself is within a few units in
-    the last place of tau. Each subproblem runs until its duality-gap proxy falls below
-    1e-6 relative to the objective or, when rounding noise in the gap
-    evaluation floors above that, until no descent step exists at working
-    precision — the residual of such a polished iterate is exact and is fed
-    back to the root update. Outside the band, that stall re-enables the root
-    update, and the next pass, which finds the objective unchanged and so
-    stagnated, moves tau from the polished residual. When the fixed budget
-    (_MAX_MATVEC = 10,000 matrix-vector products, 200 root updates) runs out
-    first, converged=False and the report carries the best iterate seen.
+    of epsilon from below, except in the rare case where no floating-point
+    tau places it in that band, accepted only once the root update itself is
+    within a few units in the last place of tau. converged promises this
+    band, not the l1 optimum. The solve ends there when the subproblem's
+    duality-gap proxy falls below 1e-6 of its objective, or at the first
+    in-band step attempt whose line searches both fail. Outside the band,
+    failed attempts shrink the step ceiling until patience runs out; the
+    stalled residual then goes to the root update, or ends the solve when
+    two stalls read the same one. When the budget (_MAX_MATVEC = 10,000
+    matrix-vector products, 200 root updates) runs out first,
+    converged=False and the report carries the best iterate seen.
     """
     a = problem.system_matrix
     y = problem.observed
@@ -355,19 +356,17 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
             if lserr:
                 failed = (x, attempt, spent)
         if lserr:
-            # the spectral step was unusable at this iterate; shrink the step
-            # ceiling and restart from a displacement-scaled step. Exhausted
-            # patience means no descent exists at working precision: the
-            # subproblem is numerically stationary and its residual reading is
-            # exact, so converge if it sits in the root band, stop if repeated
-            # polished solves pin the same residual outside the band (no
-            # radius below that least-squares floor is attainable), and
-            # otherwise hand the reading to the root update: the iterate is
-            # unchanged, so the next pass sees f stagnate and takes it.
+            # no step descends from this iterate. In the root band that ends
+            # the solve: smaller step ceilings never found a step there.
+            # Outside it, retry with a ten times smaller ceiling; when
+            # patience runs out the residual reading is exact at working
+            # precision, so stop if two stalls pin the same residual (the
+            # least-squares floor), and otherwise hand it to the root update,
+            # which the next pass takes as f stagnates.
+            if in_band:
+                converged = True
+                break
             if line_errors_left <= 0:
-                if in_band:
-                    converged = True
-                    break
                 if stall_rnorm is not None and abs(rnorm - stall_rnorm) <= 1e-12 * max(
                     1.0, rnorm
                 ):

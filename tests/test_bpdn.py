@@ -331,6 +331,49 @@ def test_step_attempt_never_projects_the_same_input_twice(monkeypatch):
         assert len(set(attempt)) == len(attempt)
 
 
+def test_failed_step_in_band_ends_the_solve(monkeypatch):
+    # From an iterate whose residual lies in the root band, a step attempt
+    # whose two line searches fail ends the solve: no search runs after it.
+    searches = []
+    original_curvy = bpdn._line_curvy
+    original_feasible = bpdn._line_feasible
+
+    def curvy(x, g_scaled, fmax, a, y, tau):
+        out = original_curvy(x, g_scaled, fmax, a, y, tau)
+        searches[-1].append(("curvy", x, out[5] != 0))
+        return out
+
+    def feasible(f0, x, d, gtd, fmax, a, y):
+        out = original_feasible(f0, x, d, gtd, fmax, a, y)
+        searches[-1].append(("feasible", x, out[4] != 0))
+        return out
+
+    monkeypatch.setattr(bpdn, "_line_curvy", curvy)
+    monkeypatch.setattr(bpdn, "_line_feasible", feasible)
+    rng = np.random.default_rng(11)
+    ended_in_band = 0
+    for trial in range(5):
+        searches.append([])
+        a, x, y = sparse_instance(rng, n=120, m=40, k=6, noise_scale=0.05)
+        eps = 0.5 * float(np.linalg.norm(y - a @ x))
+        assert solve_bpdn(BpdnProblem(a, y, eps)).converged
+
+        def in_band(z):
+            r = y - a @ z
+            return eps * (1.0 - 9e-4) <= np.sqrt(r.dot(r)) <= eps * (1.0 + 1e-4) + 1e-9
+
+        # the feasible search runs only after the curvy one failed, so its
+        # failure is the failure of the whole attempt
+        ends = [
+            i for i, (kind, z, failed) in enumerate(searches[-1])
+            if kind == "feasible" and failed and in_band(z)
+        ]
+        if ends:
+            ended_in_band += 1
+            assert ends[0] == len(searches[-1]) - 1, (trial, ends, len(searches[-1]))
+    assert ended_in_band, "the instances must exercise a failed attempt in the band"
+
+
 def test_matches_convex_reference_solver():
     cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(17)
