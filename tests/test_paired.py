@@ -55,7 +55,10 @@ def test_a_one_percent_scaling_is_a_move_whose_ci_excludes_zero(paired):
     move = paired.paired_move(base["grid"][0]["trial_nmse"], change["grid"][0]["trial_nmse"])
     assert move["moved"]
     assert move["diff"] == pytest.approx(0.01 * move["base_mean"], rel=1e-9)
-    assert 0.0 < move["low"] <= move["diff"] <= move["high"]
+    # every trial moved by the same factor, so the CI is the move itself
+    assert 0.0 < move["low"] <= move["high"]
+    assert move["low"] == pytest.approx(move["diff"], rel=1e-9)
+    assert move["high"] == pytest.approx(move["diff"], rel=1e-9)
     assert move["max_rel"] == pytest.approx(0.01 / 1.01, rel=1e-9)
     lines, ok = paired.compare(base, change)
     assert "2 moved, 2 with a paired CI that excludes 0" in lines[-3]
@@ -106,3 +109,15 @@ def test_fig5_cells_that_move_or_cross_the_cutoff_are_listed(paired):
     assert lines[0].endswith(", crosses the cutoff")
     assert lines[1].startswith("fig5 delta=0.50 rho=0.20 bpdn-scale: only in change")
     assert lines[-2] == "fig5: 3 -> 4 cells, 1 moved, 2 across the cutoff"
+
+
+def test_a_round_off_move_of_one_trial_has_a_ci_around_zero(paired):
+    # the three-term form of the log-ratio variance cancels to 0 here, which
+    # would give a zero-width CI that excludes 0
+    base = _stats()
+    change = copy.deepcopy(base)
+    change["grid"][0]["trial_nmse"][3] *= 1.0 + 1e-11
+    move = paired.paired_move(base["grid"][0]["trial_nmse"], change["grid"][0]["trial_nmse"])
+    assert move["low"] < 0.0 < move["high"]
+    lines, ok = paired.compare(base, change)
+    assert ok and "(inside)" in lines[0]

@@ -101,20 +101,16 @@ def paired_move(base, change) -> dict:
 
     The CI comes from the delta method on log(mean change / mean base) and is
     mapped back to a difference of means, so it contains 0 exactly when the
-    ratio's CI contains 1.
+    ratio's CI contains 1. The variance of the log ratio is taken as the
+    variance of b/mean_b - c/mean_c, which equals criterion 08's
+    var_b/mean_b^2 - 2 cov/(mean_b mean_c) + var_c/mean_c^2 but does not
+    cancel to 0 when the two sides differ at round-off.
     """
     b = np.asarray(base, dtype=float)
     c = np.asarray(change, dtype=float)
     mean_b, mean_c = float(b.mean()), float(c.mean())
-    var_log = 0.0
-    if b.size > 1:
-        cov = np.cov(b, c)
-        var_log = (
-            cov[0, 0] / mean_b**2
-            - 2.0 * cov[0, 1] / (mean_b * mean_c)
-            + cov[1, 1] / mean_c**2
-        ) / b.size
-    half = CI99_FACTOR * math.sqrt(max(0.0, var_log))
+    var_log = float(np.var(b / mean_b - c / mean_c, ddof=1)) / b.size if b.size > 1 else 0.0
+    half = CI99_FACTOR * math.sqrt(var_log)
     ratio = mean_c / mean_b
     scale = np.maximum(np.abs(b), np.abs(c))
     moves = np.divide(np.abs(c - b), scale, out=np.zeros_like(b), where=scale > 0)
