@@ -198,11 +198,11 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     band, not the l1 optimum. The solve ends there when the subproblem's
     duality-gap proxy falls below 1e-6 of its objective, or at the first
     in-band step attempt whose line searches both fail. Outside the band,
-    failed attempts shrink the step ceiling until patience runs out; the
-    stalled residual then goes to the root update, or ends the solve when
-    two stalls read the same one. When the budget (_MAX_MATVEC = 10,000
-    matrix-vector products, 200 root updates) runs out first,
-    converged=False and the report carries the best iterate seen.
+    such an attempt hands the residual to the root update, or ends the solve
+    unconverged when that update cannot move tau. When the solve ends
+    unconverged, or the budget (_MAX_MATVEC = 10,000 matrix-vector
+    products, 200 root updates) runs out first, the report carries the best
+    iterate seen.
     """
     a = problem.system_matrix
     y = problem.observed
@@ -222,7 +222,6 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     gap_tol = 1e-6
     dec_tol = 1e-4
     max_newton = 200
-    max_line_errors = 10
 
     x = np.zeros(n)
     tau = 0.0
@@ -230,25 +229,19 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     f = 0.5 * float(r @ r)
     g = -(a.T @ r)
     matvecs = 1
-    step_max = _STEP_MAX
-    gstep, init = _init_step(x, g, tau, step_max, None)
+    gstep = _init_step(x, g, tau)
 
     last_fv = np.full(10, -np.inf)
     last_fv[0] = f
     f_prev = f
     allow_tau_update = True
-    stall_rnorm = None
     update_rnorm = None
     newton_steps = 0
     iterations = 0
-    line_errors_left = max_line_errors
 
     best_viol = np.inf
     best_l1 = np.inf
     best_x = x.copy()
-    # (iterate, (step, fmax, tau), matvecs spent) of the last step attempt
-    # whose line searches both failed
-    failed = None
 
     converged = False
     while True:
@@ -274,6 +267,9 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
         delta_tau = rnorm * (rnorm - eps) / gnorm if gnorm > 0.0 else 0.0
         at_root = rnorm >= eps_low or abs(delta_tau) <= tau_res
         in_band = rnorm <= eps_up and at_root
+        # an increment inside the tau resolution cannot change the iterate
+        tau_new = max(0.0, tau + delta_tau)
+        tau_moves = abs(tau_new - tau) > tau_res
 
         if sub_opt and in_band:
             converged = True
@@ -293,11 +289,9 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
             allow_tau_update = False
             if gnorm <= 0.0:
                 break
-            # an increment inside the tau resolution cannot change the iterate
-            # and must not reset the stall bookkeeping, or it would starve the
-            # descent-exhaustion path of its chance to accept an in-band root
-            tau_new = max(0.0, tau + delta_tau)
-            if abs(tau_new - tau) > tau_res:
+            # an update that cannot move tau is skipped for a step attempt,
+            # whose failure in the band accepts the root
+            if tau_moves:
                 if (
                     in_band
                     and update_rnorm is not None
@@ -320,10 +314,8 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
                 last_fv[:] = -np.inf
                 last_fv[0] = f
                 f_prev = f
-                step_max = _STEP_MAX
-                gstep, init = _init_step(x, g, tau, step_max, init)
+                gstep = _init_step(x, g, tau)
                 newton_steps += 1
-                line_errors_left = max_line_errors
                 continue
         else:
             allow_tau_update = True
@@ -331,62 +323,33 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
         # one spectral projected-gradient step at the current tau
         x_old, g_old = x, g
         fmax = float(last_fv.max())
-        attempt = (gstep, fmax, tau)
-        if failed is not None and failed[0] is x and failed[1] == attempt:
-            # both searches are deterministic in the iterate (with its
-            # gradient) and in (step, fmax, tau), so this attempt would fail
-            # as the last one did; its matrix-vector products are counted,
-            # not recomputed, which keeps the matvec budget and every
-            # decision that follows unchanged
-            matvecs += failed[2]
-            lserr = 2
-        else:
-            fnew, xnew, rnew, spent, first, lserr = _line_curvy(
-                x, gstep * g, fmax, a, y, tau
-            )
-            if lserr:
-                # the curvy search's first trial point is P(x - gstep * g)
-                d = first - x
-                gtd = float(g @ d)
-                fnew, xnew, rnew, nmv, lserr = _line_feasible(
-                    f, x, d, gtd, fmax, a, y
-                )
-                spent += nmv
-            matvecs += spent
-            if lserr:
-                failed = (x, attempt, spent)
+        fnew, xnew, rnew, spent, first, lserr = _line_curvy(
+            x, gstep * g, fmax, a, y, tau
+        )
+        if lserr:
+            # the curvy search's first trial point is P(x - gstep * g)
+            d = first - x
+            gtd = float(g @ d)
+            fnew, xnew, rnew, nmv, lserr = _line_feasible(f, x, d, gtd, fmax, a, y)
+            spent += nmv
+        matvecs += spent
         if lserr:
             # no step descends from this iterate. In the root band that ends
-            # the solve: smaller step ceilings never found a step there.
-            # Outside it, retry with a ten times smaller ceiling; when
-            # patience runs out the residual reading is exact at working
-            # precision, so stop if two stalls pin the same residual (the
-            # least-squares floor), and otherwise hand it to the root update,
-            # which the next pass takes as f stagnates.
+            # the solve. Outside it, the next pass takes this pass's root
+            # update (f has not changed, so it stagnates, and a pass that
+            # reaches a step attempt with tau movable allows the update);
+            # when that update cannot move tau, nothing is left to try.
             if in_band:
                 converged = True
                 break
-            if line_errors_left <= 0:
-                if stall_rnorm is not None and abs(rnorm - stall_rnorm) <= 1e-12 * max(
-                    1.0, rnorm
-                ):
-                    break
-                stall_rnorm = rnorm
-                allow_tau_update = True
-                line_errors_left = max_line_errors
-                step_max = _STEP_MAX
-                gstep, init = _init_step(x, g, tau, step_max, init)
-                continue
-            line_errors_left -= 1
-            step_max /= 10.0
-            gstep, init = _init_step(x, g, tau, step_max, init)
+            if not tau_moves:
+                break
             continue
 
         x, f, r = xnew, fnew, rnew
         g = -(a.T @ r)
         matvecs += 1
         iterations += 1
-        line_errors_left = max_line_errors
         last_fv[iterations % last_fv.size] = f
 
         s = x - x_old
@@ -394,9 +357,9 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
         sts = float(s @ s)
         sty = float(s @ dg)
         if sty <= 0.0:
-            gstep = step_max
+            gstep = _STEP_MAX
         else:
-            gstep = min(step_max, max(_STEP_MIN, sts / sty))
+            gstep = min(_STEP_MAX, max(_STEP_MIN, sts / sty))
 
     return _report(problem, x if converged else best_x, iterations, converged)
 
@@ -413,22 +376,12 @@ def _report(problem: BpdnProblem, solution, iterations: int, converged: bool) ->
     )
 
 
-def _init_step(x, g, tau, step_max, last):
-    """Step from the projected-gradient displacement, and the (x, tau,
-    ||P(x - g) - x||_inf) it used.
-
-    `last` is what the previous call returned. Its norm is reused while the
-    iterate object and tau are unchanged: the gradient changes only together
-    with the iterate, and failed step attempts and patience resets retry
-    from the same point.
-    """
-    if last is None or last[0] is not x or last[1] != tau:
-        dx = project_l1(x - g, tau) - x
-        last = (x, tau, float(np.abs(dx).max()))
-    dx_norm = last[2]
-    if dx_norm < 1.0 / step_max:
-        return step_max, last
-    return min(step_max, max(_STEP_MIN, 1.0 / dx_norm)), last
+def _init_step(x, g, tau):
+    """Step from the projected-gradient displacement ||P(x - g) - x||_inf."""
+    dx_norm = float(np.abs(project_l1(x - g, tau) - x).max())
+    if dx_norm < 1.0 / _STEP_MAX:
+        return _STEP_MAX
+    return min(_STEP_MAX, max(_STEP_MIN, 1.0 / dx_norm))
 
 
 def solve_scaled_matrix(problem: BpdnProblem, alpha: float) -> SolverReport:

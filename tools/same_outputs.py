@@ -20,8 +20,12 @@ own `src`:
 - `solve` on one fixed 40 x 100 instance (Gaussian matrix, 5-sparse signal,
   small noise) that the script writes from `random.Random(0)`:
   `--method bpdn` and `--method bpdn-scale --bits 1` at `--epsilon 0.1`, and
-  `--method biht --k 5`; and `--method bpdn` on the same matrix scaled by
-  1e15, where no step descends and the solver stops unconverged (exit 2).
+  `--method biht --k 5`; `--method bpdn` on the same matrix scaled by
+  1e15, where no step descends and the solver stops unconverged (exit 2);
+  and `--method bpdn` at `--epsilon 0.5` on its first 10 columns, a radius
+  below that tall matrix's least-squares floor of about 1.35, where each
+  failed step attempt hands off to the root update until the root-update
+  budget runs out (exit 2).
 
 For each file the script prints "equal", or the largest relative difference
 among the numbers in it (or why the two cannot be compared number by number).
@@ -53,7 +57,7 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 def write_solve_instance(directory: str) -> dict:
     """Write the fixed `solve` instance as CSV files in `directory`; their paths
-    by name (matrix, matrix-1e15, y)."""
+    by name (matrix, matrix-1e15, matrix-tall, y)."""
     rnd = random.Random(0)
     m, n, k = 40, 100, 5
     a = [[rnd.gauss(0.0, m**-0.5) for _ in range(n)] for _ in range(m)]
@@ -64,6 +68,7 @@ def write_solve_instance(directory: str) -> dict:
     rows = {
         "matrix": a,
         "matrix-1e15": [[1e15 * aij for aij in row] for row in a],
+        "matrix-tall": [row[:10] for row in a],
         "y": [[v] for v in y],
     }
     paths = {}
@@ -112,6 +117,7 @@ def recipes(solve_inputs: dict) -> list:
         ("bpdn-scale-bits1", "matrix", ["bpdn-scale", "--bits", "1", "--epsilon", "0.1"]),
         ("biht-k5", "matrix", ["biht", "--k", "5"]),
         ("bpdn-matrix1e15", "matrix-1e15", ["bpdn", "--epsilon", "0.1"]),
+        ("bpdn-tall-below-floor", "matrix-tall", ["bpdn", "--epsilon", "0.5"]),
     ):
         out.append((f"solve-{name}",
                     ["solve", "--matrix", solve_inputs[matrix], "--y", solve_inputs["y"],
