@@ -26,19 +26,19 @@ biht         1-bit baseline on sign measurements against unit-norm truth.
 
 Instances: draw_instance draws a trial's signal, matrix, noiseless
 measurements and sigma_t^2, and measure turns them into y at one bit depth.
-Grid trials and the tuner's cached trials both go through these two
-functions, so at the same point, seed and radius the tuner solves exactly
-the problems the grid solves.
+Grid trials, phase-sweep cells and the tuner's cached trials all go through
+these two functions, so at the same point, seed and radius the tuner solves
+exactly the problems the grid solves.
 
 Jobs: a job is one (grid point, trial index) pair. The instance of a trial
-does not depend on the bit depth, so run_experiments runs configs that
-differ only in bits as one pass: a job draws its instance once and then
-measures and solves it at every depth in turn; in artificial-correlated
-mode the noise stream is re-seeded for each depth, so each depth sees the
-draw it would see alone. The phase sweep's job is one delta column. A
-trial's matrix depends on (N, M) and not on K, so a column draws each
-trial's matrix once and reuses it in every cell, holding matrices up to
-COLUMN_MATRIX_BYTES; the trials beyond that cap redraw theirs per cell.
+depends on neither the bit depth nor the noise mode, so run_experiments runs
+configs that differ only in those as one pass: a job draws its instance once
+and then measures and solves it at every depth in turn; in
+artificial-correlated mode the noise stream is re-seeded for each depth, so
+each depth sees the draw it would see alone. The phase sweep's job is one
+delta column. A trial's matrix depends on (N, M) and not on K, so a column
+draws each trial's matrix once and reuses it in every cell, holding matrices
+up to COLUMN_MATRIX_BYTES; the trials beyond that cap redraw theirs per cell.
 _map is the one fan-out: it runs a list of jobs inline at one worker and on
 one process pool otherwise.
 
@@ -238,25 +238,21 @@ def _draw_matrix(cfg: InstanceConfig) -> np.ndarray:
     return generate_ensemble(cfg, purpose_rng(cfg, "matrix")).system_matrix
 
 
-def _instance_on(
-    cfg: InstanceConfig, a: np.ndarray, normalize: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The trial's instance on its matrix `a`: draw the signal x and return
-    (x, A, ybar = A x, sigma_t^2 = x.x / M)."""
-    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
-    return x, a, a @ x, float(x @ x) / cfg.m
-
-
 def draw_instance(
-    cfg: InstanceConfig, normalize: bool = False
+    cfg: InstanceConfig, normalize: bool = False, a: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Draw one trial's instance: (x, A, ybar = A x, sigma_t^2 = x.x / M).
 
     The signal and matrix streams are independent and both keyed by
     (master_seed, trial_index), so the draw does not depend on the order of
-    the two, the bit depth, the noise mode or the caller.
+    the two, the bit depth, the noise mode or the caller. `a` is the trial's
+    matrix when the caller holds it (drawn at any K of the same (N, M)),
+    else it is drawn here; the instance is the same either way.
     """
-    return _instance_on(cfg, _draw_matrix(cfg), normalize)
+    if a is None:
+        a = _draw_matrix(cfg)
+    x = generate_signal(cfg, purpose_rng(cfg, "signal"), normalize=normalize)
+    return x, a, a @ x, float(x @ x) / cfg.m
 
 
 def measure(
@@ -288,7 +284,7 @@ def _run_trial(
 ) -> List[Dict[str, Tuple[float, bool]]]:
     """Run one job, a (grid point, trial index) pair: draw its instance once,
     then measure and solve it at each (alpha, quantizer) depth in order. `a`
-    is the trial's matrix when the caller holds it, else it is drawn here.
+    is the trial's matrix when the caller holds it, as draw_instance takes it.
 
     Returns, per depth, method -> (nmse, converged).
     """
@@ -296,9 +292,7 @@ def _run_trial(
     cfg = InstanceConfig(
         n=n, m=m, k=k, master_seed=config.master_seed, trial_index=trial_index
     )
-    if a is None:
-        a = _draw_matrix(cfg)
-    x, a, ybar, sigma_t_sq = _instance_on(cfg, a, config.normalize_signals)
+    x, a, ybar, sigma_t_sq = draw_instance(cfg, config.normalize_signals, a)
     outcomes: List[Dict[str, Tuple[float, bool]]] = []
     for alpha, quantizer in depths:
         y = measure(cfg, ybar, sigma_t_sq, alpha, quantizer)
@@ -384,20 +378,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 def run_experiments(
     configs: Sequence[ExperimentConfig], workers: int = 1
 ) -> List[ExperimentResult]:
-    """Run configs that differ only in bits as one pass; one result per config.
+    """Run configs that differ only in bits and noise_mode as one pass.
 
     Each (grid point, trial) is one job that draws its instance once and
-    measures and solves it at every config's bit depth, in config order; the
-    instance streams do not depend on the bit depth, so every result equals
-    what run_experiment gives for that config alone. workers > 1 runs the
-    jobs on one process pool.
+    measures and solves it at every config's mode and depth, in config order;
+    the instance streams depend on neither, so each config's result equals
+    what run_experiment gives for it alone. workers > 1 runs the jobs on one
+    process pool.
     """
     if not configs:
         raise ValueError("configs must contain at least one ExperimentConfig")
     first = configs[0]
     for config in configs[1:]:
-        if replace(config, bits=first.bits) != first:
-            raise ValueError("configs passed together may differ only in bits")
+        if replace(config, bits=first.bits, noise_mode=first.noise_mode) != first:
+            raise ValueError("configs passed together may differ only in bits and noise_mode")
     depths = tuple(_design(config.noise_mode, config.bits) for config in configs)
     jobs = [(point, trial) for point in first.grid for trial in range(first.trials)]
     run_job = functools.partial(_run_trial, first, depths)

@@ -194,16 +194,16 @@ def design_lloyd_max(bits: int, sigma: float) -> ScalarQuantizer:
 
     Levels start at the Gaussian quantiles of the cell-probability midpoints and
     are driven to the fixed point (thresholds = adjacent-level midpoints, levels
-    = cell centroids) by Newton's method on the fixed-point residual; a Newton
-    step that would break the level ordering falls back to a plain centroid
-    update. Iteration stops once a plain update would move no level by more
-    than 1e-12*sigma, or — for very fine quantizers, where rounding in the
-    centroid evaluation floors the achievable movement above that — once the
-    movement stops improving while already below 1e-10*sigma. The fixed point
-    is a stationary point of the distortion, so residual level errors at that
-    scale perturb derived quantities only at second order. The design is
-    computed at unit scale and rescaled, so the quantizer for (bits, sigma) is
-    sigma times the quantizer for (bits, 1).
+    = cell centroids) by Newton's method on the fixed-point residual; on every
+    allowed depth each step keeps the levels increasing. Iteration stops once a
+    plain centroid update would move no level by more than 1e-12*sigma, or —
+    for very fine quantizers, where rounding in the centroid evaluation floors
+    the achievable movement above that — once the movement stops improving
+    while already below 1e-10*sigma. The fixed point is a stationary point of
+    the distortion, so residual level errors at that scale perturb derived
+    quantities only at second order. The design is computed at unit scale and
+    rescaled, so the quantizer for (bits, sigma) is sigma times the quantizer
+    for (bits, 1).
     """
     _check_design_args(bits, sigma)
     cells = 2**bits
@@ -224,11 +224,7 @@ def design_lloyd_max(bits: int, sigma: float) -> ScalarQuantizer:
         if stalled >= 5 and best_movement < 1e-10:
             levels = best_levels
             break
-        candidate = levels + _newton_step(levels, thresholds, residual)
-        if np.all(np.isfinite(candidate)) and np.all(np.diff(candidate) > 0.0):
-            levels = candidate
-        else:
-            levels = levels + residual
+        levels = levels + _newton_step(levels, thresholds, residual)
     else:
         raise RuntimeError(f"fixed point not reached after {max_iterations} iterations")
     levels = sigma * levels

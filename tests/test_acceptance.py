@@ -47,38 +47,41 @@ GRID = tuple((1000, m, k) for m, k in benchmark_grid())
 
 
 @pytest.fixture(scope="module")
-def artificial_runs():
-    """Full-grid runs with Gaussian correlated noise at 1, 3, and 5 bits.
+def grid_runs():
+    """Full-grid runs with Gaussian correlated noise at 1, 3, and 5 bits, then
+    with true 1-bit Lloyd-Max quantized measurements.
 
-    One pass draws each instance once and measures it at all three depths.
+    One pass draws each instance once and measures it in all four ways.
     """
     configs = [
         ExperimentConfig(
             grid=GRID,
             trials=TRIALS,
-            noise_mode="artificial-correlated",
+            noise_mode=noise_mode,
             methods=("bpdn", "bpdn-scale"),
             master_seed=MASTER_SEED,
             bits=bits,
         )
-        for bits in (1, 3, 5)
+        for noise_mode, bits in (
+            ("artificial-correlated", 1),
+            ("artificial-correlated", 3),
+            ("artificial-correlated", 5),
+            ("lloyd-max-quantized", 1),
+        )
     ]
-    return {result.config.bits: result for result in run_experiments(configs)}
+    return run_experiments(configs)
 
 
 @pytest.fixture(scope="module")
-def quantized_run():
+def artificial_runs(grid_runs):
+    """Full-grid runs with Gaussian correlated noise at 1, 3, and 5 bits."""
+    return {result.config.bits: result for result in grid_runs[:3]}
+
+
+@pytest.fixture(scope="module")
+def quantized_run(grid_runs):
     """Full-grid run with true 1-bit Lloyd-Max quantized measurements."""
-    return run_experiment(
-        ExperimentConfig(
-            grid=GRID,
-            trials=TRIALS,
-            noise_mode="lloyd-max-quantized",
-            methods=("bpdn", "bpdn-scale"),
-            master_seed=MASTER_SEED,
-            bits=1,
-        )
-    )
+    return grid_runs[3]
 
 
 def _grid_improvements(result):

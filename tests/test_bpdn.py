@@ -237,7 +237,7 @@ def test_converged_residual_sits_on_fidelity_boundary():
         eps = 0.5 * float(np.linalg.norm(y - a @ x))
         report = solve_bpdn(BpdnProblem(a, y, eps))
         assert report.converged
-        assert report.residual_norm <= eps * (1.0 + 1e-4) + 1e-9
+        assert report.residual_norm <= eps * (1.0 + 1e-4)
         assert abs(report.residual_norm - eps) <= 1e-3 * eps
 
 
@@ -258,7 +258,7 @@ def test_converged_report_is_inside_the_residual_band(seed, m, n, log_scale, fra
     eps = fraction * float(np.linalg.norm(y))
     report = solve_bpdn(BpdnProblem(a, y, eps))
     if report.converged:
-        assert report.residual_norm <= eps * (1.0 + 1e-4) + 1e-9
+        assert report.residual_norm <= eps * (1.0 + 1e-4)
 
 
 def test_report_norms_recomputable():
@@ -381,7 +381,7 @@ def test_failed_step_in_band_ends_the_solve(monkeypatch):
 
         def in_band(z):
             r = y - a @ z
-            return eps * (1.0 - 9e-4) <= np.sqrt(r.dot(r)) <= eps * (1.0 + 1e-4) + 1e-9
+            return eps * (1.0 - 9e-4) <= np.sqrt(r.dot(r)) <= eps * (1.0 + 1e-4)
 
         # the feasible search runs only after the curvy one failed, so its
         # failure is the failure of the whole attempt
@@ -481,6 +481,45 @@ def test_constraint_homogeneity():
     assert base.converged and scaled.converged
     rel = np.linalg.norm(base.solution - scaled.solution) / np.linalg.norm(base.solution)
     assert rel < 1e-3
+
+
+@pytest.mark.parametrize("y_norm", [1e-10, 1e-9, 1e-6])
+def test_tiny_observation_converges_in_band_at_the_scaled_l1_norm(y_norm):
+    # The root band is relative to epsilon alone: an absolute slack of 1e-9
+    # in it would let z = 0, with a residual of 2 * epsilon, pass as
+    # converged at ||y|| <= 1e-9.
+    rng = np.random.default_rng(0)
+    a, x, y = sparse_instance(rng, n=50, m=20, k=3, noise_scale=0.05)
+    y = y / np.linalg.norm(y)
+    unit = solve_bpdn(BpdnProblem(a, y, 0.5))
+    eps = 0.5 * y_norm
+    report = solve_bpdn(BpdnProblem(a, y_norm * y, eps))
+    assert report.converged
+    assert eps * (1.0 - 1e-3) <= report.residual_norm <= eps * (1.0 + 1e-4)
+    assert report.l1_norm == pytest.approx(y_norm * unit.l1_norm, rel=1e-4)
+
+
+def test_pinned_root_curve_converges_in_band_at_the_certified_optimum():
+    # Seed 2388 of tools/same_solves.py's generator: a tall 41 x 35 matrix
+    # at scale 1.16e4, whose consecutive root updates read the same in-band
+    # residual. The solve still ends in the band, at the optimum.
+    seed = 2388
+    rng = np.random.default_rng(seed)
+    tall = seed % 2 == 0
+    m, n = rng.integers(4, 40), rng.integers(4, 60)
+    if (m > n) != tall:
+        m, n = n, m
+    scale = 10.0 ** rng.uniform(-8, 16)
+    a = rng.normal(size=(m, n)) * scale
+    y = rng.normal(size=m)
+    eps = np.linalg.norm(y) * 10.0 ** rng.uniform(-9, -0.005)
+    assert (m, n) == (41, 35) and scale == pytest.approx(1.16e4, rel=1e-3)
+
+    report = solve_bpdn(BpdnProblem(a, y, eps))
+    assert report.converged
+    assert eps * (1.0 - 1e-3) <= report.residual_norm <= eps * (1.0 + 1e-4)
+    z, _ = kkt_optimum(a, y, eps, np.flatnonzero(report.solution))
+    assert report.l1_norm == pytest.approx(np.abs(z).sum(), rel=1e-9)
 
 
 def test_post_scaled_unit_beta_identical():

@@ -371,7 +371,7 @@ def test_instance_on_a_held_matrix_equals_draw_instance(n, data, seed, trial, no
     k, held_k = data.draw(st.integers(0, m)), data.draw(st.integers(0, m))
     held = experiments._draw_matrix(InstanceConfig(n, m, held_k, seed, trial))
     cfg = InstanceConfig(n, m, k, seed, trial)
-    got = experiments._instance_on(cfg, held, normalize)
+    got = draw_instance(cfg, normalize, a=held)
     want = draw_instance(cfg, normalize)
     assert len(got) == len(want) == 4
     for g, w in zip(got, want):
@@ -399,13 +399,25 @@ def _depth_configs(noise_mode):
     ]
 
 
+# The acceptance fixtures' pass: correlated noise at three depths, then true
+# 1-bit Lloyd-Max quantization of the same instances.
+MIXED_CONFIGS = _depth_configs("artificial-correlated") + [
+    ExperimentConfig(**DEPTHS_GRID, noise_mode="lloyd-max-quantized", bits=1)
+]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "noise_mode",
-    ["lloyd-max-quantized", "uniform-quantized", "artificial-correlated"],
+    "configs",
+    [
+        _depth_configs("lloyd-max-quantized"),
+        _depth_configs("uniform-quantized"),
+        _depth_configs("artificial-correlated"),
+        MIXED_CONFIGS,
+    ],
+    ids=["lloyd-max-quantized", "uniform-quantized", "artificial-correlated", "mixed"],
 )
-def test_run_experiments_equals_one_run_per_config(noise_mode, workers):
-    configs = _depth_configs(noise_mode)
+def test_run_experiments_equals_one_run_per_config(configs, workers):
     joint = run_experiments(configs, workers=workers)
     separate = [run_experiment(config) for config in configs]
     assert joint == separate
@@ -421,7 +433,6 @@ def test_run_experiments_rejects_mismatched_configs():
         {"master_seed": 24},
         {"trials": 2},
         {"grid": ((64, 32, 3),)},
-        {"noise_mode": "uniform-quantized"},
         {"methods": ("bpdn",)},
         {"retain_trials": False},
     ):

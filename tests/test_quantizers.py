@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from corrcs import quantizers
 from corrcs.quantizers import (
     ScalarQuantizer,
     design_lloyd_max,
@@ -54,6 +55,27 @@ def test_lloyd_max_fixed_point():
         phi_b = 0.0 if np.isinf(b) else np.exp(-0.5 * b * b) / np.sqrt(2 * np.pi)
         mass = ndtr(b) - ndtr(a)
         assert level == pytest.approx(sigma * (phi_a - phi_b) / mass, abs=1e-8)
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_lloyd_max_reaches_its_fixed_point_by_increasing_newton_steps(bits, monkeypatch):
+    # The design runs at unit scale, so the depths 1-16 are its whole input
+    # domain: on each, every Newton step keeps the levels increasing and the
+    # design ends at the fixed point.
+    steps = []
+    original = quantizers._newton_step
+
+    def recording(levels, thresholds, residual):
+        step = original(levels, thresholds, residual)
+        steps.append(np.diff(levels + step).min())
+        return step
+
+    monkeypatch.setattr(quantizers, "_newton_step", recording)
+    q = design_lloyd_max(bits, 1.0)
+    assert steps and min(steps) > 0.0
+    assert np.array_equal(q.thresholds, 0.5 * (q.levels[:-1] + q.levels[1:]))
+    residual = quantizers._centroids(q.thresholds, q.levels) - q.levels
+    assert np.abs(residual).max() <= 1e-10
 
 
 def test_uniform_one_bit_equals_lloyd_max():
