@@ -4,20 +4,10 @@
 
 Both revisions are exported with the `export` helper of tools/bench_pairs.py
 (CHANGE defaults to HEAD, so commit first), and each export runs
-`solve_bpdn`, from its own `src`, on seeds 0-2999 of this generator:
-
-    rng = np.random.default_rng(seed)
-    tall = seed % 2 == 0
-    m, n = rng.integers(4, 40), rng.integers(4, 60)
-    if (m > n) != tall:
-        m, n = n, m
-    scale = 10.0 ** rng.uniform(-8, 16)
-    a = rng.normal(size=(m, n)) * scale
-    y = rng.normal(size=m)
-    eps = norm(y) * 10.0 ** rng.uniform(-9, -0.005)
-
-Half the instances are tall and half wide, at matrix scales from 1e-8 to
-1e16 and radii from 1e-9 to about 0.99 of ||y||. The script lists every
+`solve_bpdn`, from its own `src`, on seeds 0-2999 of the generator in
+WORKLOAD: Gaussian matrices with 4 to 59 rows and columns, tall at even
+seeds and wide or square at odd ones, at matrix scales from 1e-8 to 1e16,
+and radii from 1e-9 to about 0.99 of ||y||, log-uniform. The script lists every
 instance whose solution bytes, iteration count or `converged` flag differ,
 with its shape, scale, eps/||y||, both sides' iterations, residual/eps and
 the relative move of the l1 norm, and marks each `converged` flip. It exits
