@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def _line_feasible(f0, x, d, gtd, fmax, a, y):
             step = quad
 
 
-def solve_bpdn(problem: BpdnProblem) -> SolverReport:
+def solve_bpdn(problem: BpdnProblem, start: Optional[np.ndarray] = None) -> SolverReport:
     """Solve the l1 recovery problem to the fidelity radius of `problem`.
 
     On a converged report the residual satisfies
@@ -200,7 +201,37 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     unconverged, or the budget (_MAX_MATVEC = 10,000 matrix-vector
     products, 200 root updates) runs out first, the report carries the best
     iterate seen.
+
+    `start`, a finite vector of length N, is a point to start from, such as
+    the solution of the same (A, y) at another radius: the root finding
+    starts at tau = ||start||_1 with the residual of `start`, and tau moves
+    up or down from there. That costs one matrix-vector product, counted
+    against the budget, and saves the climb from tau = 0 when `start` lies
+    near the root. converged still promises only the band above. A start
+    can also sit where no step descends, as where another solve stopped; a
+    started solve that ends unconverged is therefore followed by the solve
+    from z = 0, whose report is returned with the iterations of both.
+    Without a start, or with an all-zero one, the solve starts at z = 0,
+    tau = 0.
     """
+    if start is not None:
+        start = _as_float_vector(start, "start")
+        n = problem.system_matrix.shape[1]
+        if start.size != n:
+            raise ValueError(f"start length {start.size} does not match matrix columns {n}")
+        _require_finite(start, "start")
+        if start.any():
+            warm = _solve_from(problem, start)
+            if warm.converged:
+                return warm
+            cold = _solve_from(problem, None)
+            return replace(cold, iterations=warm.iterations + cold.iterations)
+    return _solve_from(problem, None)
+
+
+def _solve_from(problem: BpdnProblem, start: Optional[np.ndarray]) -> SolverReport:
+    """solve_bpdn's root finding, from z = 0, tau = 0 when `start` is None,
+    else from the checked, nonzero `start` at tau = ||start||_1."""
     a = problem.system_matrix
     y = problem.observed
     m, n = a.shape
@@ -223,9 +254,14 @@ def solve_bpdn(problem: BpdnProblem) -> SolverReport:
     x = np.zeros(n)
     tau = 0.0
     r = y.copy()
+    matvecs = 1
+    if start is not None:
+        x = np.array(start)
+        tau = float(np.abs(x).sum())
+        r = y - a @ x
+        matvecs = 2
     f = 0.5 * float(r @ r)
     g = -(a.T @ r)
-    matvecs = 1
     gstep = _init_step(x, g, tau)
 
     last_fv = np.full(10, -np.inf)
@@ -384,13 +420,17 @@ def solve_scaled_matrix(problem: BpdnProblem, alpha: float) -> SolverReport:
     return solve_bpdn(scaled)
 
 
-def solve_post_scaled(problem: BpdnProblem, beta: float) -> SolverReport:
+def solve_post_scaled(
+    problem: BpdnProblem, beta: float, start: Optional[np.ndarray] = None
+) -> SolverReport:
     """Solve the unscaled problem, then divide the solution by beta.
 
     beta equal to the noise-model gain alpha is the matched correction; other
-    values generalize the scaling for tuning studies.
+    values generalize the scaling for tuning studies. `start` is handed to
+    the unscaled solve (see solve_bpdn), so it is a point of that problem,
+    not yet divided by beta.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    inner = solve_bpdn(problem)
+    inner = solve_bpdn(problem, start)
     return _report(problem, inner.solution / beta, inner.iterations, inner.converged)

@@ -21,7 +21,10 @@ Methods
 -------
 bpdn         l1 recovery with fidelity radius from the sigma_q rule (total noise).
 bpdn-scale   l1 recovery with radius from the sigma_r rule (uncorrelated part),
-             solution divided by alpha.
+             solution divided by alpha. It solves the same (A, y) as bpdn at a
+             smaller radius, so when bpdn runs before it at a depth, its solve
+             starts from bpdn's solution (solve_bpdn's `start`); its rows then
+             differ from a bpdn-scale-only run within solver tolerance.
 biht         1-bit baseline on sign measurements against unit-norm truth.
 
 Instances: draw_instance draws a trial's signal, matrix, noiseless
@@ -144,6 +147,9 @@ class ExperimentConfig:
 
     Methods run in the given order, each at most once: bpdn at the sigma_q
     radius rule, bpdn-scale at the sigma_r rule (see the module's Methods).
+    At each depth bpdn-scale starts from bpdn's solution when bpdn comes
+    first, so its rows differ from those of a bpdn-scale-only config within
+    solver tolerance; bpdn's rows do not depend on what follows it.
     """
 
     grid: Tuple[Tuple[int, int, int], ...]
@@ -300,6 +306,7 @@ def _run_trial(
         sigma_r = float(np.sqrt(alpha * (1.0 - alpha) * sigma_t_sq))
 
         out: Dict[str, Tuple[float, bool]] = {}
+        start = None
         for method in config.methods:
             if method == "biht":
                 signs = sign_with_positive_zero(ybar)
@@ -309,8 +316,11 @@ def _run_trial(
                 continue
             if method == "bpdn":
                 report = solve_bpdn(BpdnProblem(a, y, epsilon_rule(m, sigma_q)))
-            else:  # bpdn-scale
-                report = solve_post_scaled(BpdnProblem(a, y, epsilon_rule(m, sigma_r)), alpha)
+                start = report.solution
+            else:  # bpdn-scale: the same (A, y) at a smaller radius
+                report = solve_post_scaled(
+                    BpdnProblem(a, y, epsilon_rule(m, sigma_r)), alpha, start=start
+                )
             out[method] = (nmse(report.solution, x), report.converged)
         outcomes.append(out)
     return outcomes

@@ -146,14 +146,11 @@ def _cell_edges(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _centroids(thresholds: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Standard-Gaussian means of the cells of `thresholds`; a massless cell keeps `fallback`."""
+def _centroids(thresholds: np.ndarray) -> np.ndarray:
+    """Standard-Gaussian means of the cells of `thresholds`."""
     lower, upper = _cell_edges(thresholds)
     mass, m1, _ = _cell_moments(lower, upper)
-    safe = mass > 0.0
-    out = fallback.astype(np.float64, copy=True)
-    out[safe] = m1[safe] / mass[safe]
-    return out
+    return m1 / mass
 
 
 def _expected_distortion(thresholds: np.ndarray, levels: np.ndarray, sigma: float) -> float:
@@ -175,13 +172,10 @@ def _newton_step(levels: np.ndarray, thresholds: np.ndarray, residual: np.ndarra
     lower, upper = _cell_edges(thresholds)
     mass, _, _ = _cell_moments(lower, upper)
     centroid = levels + residual
-    safe_mass = np.where(mass > 0.0, mass, 1.0)
     d_lower = np.zeros_like(levels)
     d_upper = np.zeros_like(levels)
-    d_lower[1:] = _standard_pdf(lower[1:]) * (centroid[1:] - lower[1:]) / safe_mass[1:]
-    d_upper[:-1] = _standard_pdf(upper[:-1]) * (upper[:-1] - centroid[:-1]) / safe_mass[:-1]
-    d_lower *= mass > 0.0
-    d_upper *= mass > 0.0
+    d_lower[1:] = _standard_pdf(lower[1:]) * (centroid[1:] - lower[1:]) / mass[1:]
+    d_upper[:-1] = _standard_pdf(upper[:-1]) * (upper[:-1] - centroid[:-1]) / mass[:-1]
     banded = np.zeros((3, levels.size))
     banded[0, 1:] = 0.5 * d_upper[:-1]
     banded[1, :] = 0.5 * (d_lower + d_upper) - 1.0
@@ -213,7 +207,7 @@ def design_lloyd_max(bits: int, sigma: float) -> ScalarQuantizer:
     best_levels, best_movement, stalled = levels, np.inf, 0
     for _ in range(max_iterations):
         thresholds = 0.5 * (levels[:-1] + levels[1:])
-        residual = _centroids(thresholds, levels) - levels
+        residual = _centroids(thresholds) - levels
         movement = float(np.max(np.abs(residual)))
         if movement < best_movement:
             best_levels, best_movement, stalled = levels, movement, 0

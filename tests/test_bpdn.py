@@ -453,6 +453,119 @@ def test_l1_norm_matches_the_kkt_certified_optimum():
     assert report.l1_norm == pytest.approx(np.abs(z).sum(), rel=1e-3)
 
 
+def test_warm_start_from_a_larger_radius_matches_the_kkt_optimum():
+    # The seed-17 instance of the cold test above, solved again from the
+    # solution at a 1.5 times larger radius, as the harness starts bpdn-scale
+    # from bpdn: the same optimum, and a residual in the root band.
+    rng = np.random.default_rng(17)
+    a, x, y = sparse_instance(rng, n=50, m=20, k=3, noise_scale=0.05)
+    eps = float(np.linalg.norm(y - a @ x))
+    start = solve_bpdn(BpdnProblem(a, y, 1.5 * eps)).solution
+    assert start.any()
+    report = solve_bpdn(BpdnProblem(a, y, eps), start)
+    assert report.converged
+    assert eps * (1.0 - 1e-3) <= report.residual_norm <= eps * (1.0 + 1e-4)
+    # fewer iterations than the cold solve, so no cold fallback ran
+    assert report.iterations < solve_bpdn(BpdnProblem(a, y, eps)).iterations
+
+    z, _ = kkt_optimum(a, y, eps, np.flatnonzero(report.solution))
+    assert report.l1_norm == pytest.approx(np.abs(z).sum(), rel=1e-3)
+
+
+def test_start_where_no_step_descends_falls_back_to_the_cold_solve():
+    # Seed 635 of tools/same_solves.py's generator, a wide 29 x 53 matrix at
+    # scale 43, started from the solution at a 1.25 times larger radius: no
+    # step descends from there, so the started solve ends unconverged after
+    # 0 iterations. solve_bpdn then returns the cold solve, with the
+    # iterations of both.
+    seed = 635
+    rng = np.random.default_rng(seed)
+    tall = seed % 2 == 0
+    m, n = rng.integers(4, 40), rng.integers(4, 60)
+    if (m > n) != tall:
+        m, n = n, m
+    scale = 10.0 ** rng.uniform(-8, 16)
+    a = rng.normal(size=(m, n)) * scale
+    y = rng.normal(size=m)
+    eps = np.linalg.norm(y) * 10.0 ** rng.uniform(-9, -0.005)
+    assert (m, n) == (29, 53) and scale == pytest.approx(43.1, rel=1e-3)
+
+    problem = BpdnProblem(a, y, eps)
+    start = solve_bpdn(BpdnProblem(a, y, 1.25 * eps)).solution
+    started = bpdn._solve_from(problem, start)
+    assert (started.iterations, started.converged) == (0, False)
+    cold = solve_bpdn(problem)
+    assert cold.converged
+    report = solve_bpdn(problem, start)
+    assert report.solution.tobytes() == cold.solution.tobytes()
+    assert report.converged
+    assert report.iterations == started.iterations + cold.iterations
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 24),
+    st.integers(4, 48),
+    st.floats(-3.0, 3.0),
+    st.floats(0.01, 0.95),
+    st.floats(0.01, 0.95),
+)
+def test_warm_started_converged_report_is_inside_the_residual_band(
+    seed, m, n, log_scale, fraction, start_fraction
+):
+    # The cold property above, started from the solution at another radius,
+    # larger or smaller, so tau moves up or down from the start's l1 norm.
+    # Matrix scales span six decades, as in the cold property.
+    rng = np.random.default_rng(seed)
+    a, x, y = sparse_instance(rng, n=n, m=m, k=max(1, n // 8), noise_scale=0.05)
+    a = 10.0**log_scale * a
+    ynorm = float(np.linalg.norm(y))
+    start = solve_bpdn(BpdnProblem(a, y, start_fraction * ynorm)).solution
+    eps = fraction * ynorm
+    problem = BpdnProblem(a, y, eps)
+    report = solve_bpdn(problem, start)
+    if report.converged:
+        assert report.residual_norm <= eps * (1.0 + 1e-4)
+    else:
+        # the cold fallback: a start never loses a converged solve
+        assert not solve_bpdn(problem).converged
+
+
+def test_zero_start_takes_the_cold_path():
+    rng = np.random.default_rng(11)
+    a, x, y = sparse_instance(rng, n=120, m=40, k=6, noise_scale=0.05)
+    problem = BpdnProblem(a, y, 0.5 * float(np.linalg.norm(y - a @ x)))
+    cold = solve_bpdn(problem)
+    for start in (None, np.zeros(120), -np.zeros(120)):
+        report = solve_bpdn(problem, start)
+        assert report.solution.tobytes() == cold.solution.tobytes()
+        assert (report.iterations, report.converged) == (cold.iterations, cold.converged)
+
+
+@pytest.mark.parametrize(
+    "start, match",
+    [
+        (np.array([0.0, np.nan, 0.0, 0.0]), "finite"),
+        (np.array([np.inf, 0.0, 0.0, 0.0]), "finite"),
+        (np.zeros(3), "length"),
+        (np.zeros(5), "length"),
+    ],
+    ids=["nan", "inf", "short", "long"],
+)
+def test_bad_start_raises_before_any_product(start, match):
+    # Also on a radius that covers y, where the solve returns z = 0 without
+    # a single product: the start is checked first.
+    a = np.arange(12.0).reshape(3, 4)
+    y = np.ones(3)
+    for eps in (0.1, 10.0):
+        problem = BpdnProblem(a, y, eps)
+        with pytest.raises(ValueError, match=match):
+            solve_bpdn(problem, start)
+        with pytest.raises(ValueError, match=match):
+            solve_post_scaled(problem, 0.5, start)
+
+
 def test_scaled_matrix_with_unit_alpha_matches_plain():
     rng = np.random.default_rng(19)
     a, x, y = sparse_instance(rng, n=40, m=16, k=2, noise_scale=0.03)

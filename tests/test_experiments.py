@@ -425,6 +425,54 @@ def test_run_experiments_equals_one_run_per_config(configs, workers):
     assert len({r.points[0].mean_nmse for r in joint}) == len(configs)
 
 
+def test_bpdn_rows_do_not_depend_on_a_following_bpdn_scale():
+    configs = _depth_configs("lloyd-max-quantized")
+    both = run_experiments(configs)
+    alone = run_experiments([dataclasses.replace(c, methods=("bpdn",)) for c in configs])
+    for joint, single in zip(both, alone):
+        assert [p for p in joint.points if p.method == "bpdn"] == list(single.points)
+
+
+@pytest.mark.parametrize(
+    "methods", [("bpdn", "bpdn-scale"), ("bpdn-scale",), ("bpdn-scale", "bpdn")]
+)
+def test_bpdn_scale_starts_from_its_depths_bpdn_solution(monkeypatch, methods):
+    # At each depth bpdn-scale starts from the bpdn solution of that depth's
+    # (A, y) when bpdn ran before it, and cold otherwise.
+    calls = []
+    solve, post = experiments.solve_bpdn, experiments.solve_post_scaled
+
+    def recording_bpdn(problem, *args, **kwargs):
+        report = solve(problem, *args, **kwargs)
+        calls.append(("bpdn", problem.observed.tobytes(), report.solution))
+        return report
+
+    def recording_post(problem, beta, start=None):
+        calls.append(("bpdn-scale", problem.observed.tobytes(), start))
+        return post(problem, beta, start=start)
+
+    monkeypatch.setattr(experiments, "solve_bpdn", recording_bpdn)
+    monkeypatch.setattr(experiments, "solve_post_scaled", recording_post)
+    configs = [
+        dataclasses.replace(c, methods=methods) for c in _depth_configs("lloyd-max-quantized")
+    ]
+    run_experiments(configs)
+    jobs = len(DEPTHS_GRID["grid"]) * DEPTHS_GRID["trials"]
+    assert len(calls) == jobs * len(configs) * len(methods)
+    scaled = [i for i, call in enumerate(calls) if call[0] == "bpdn-scale"]
+    for i in scaled:
+        _, y, start = calls[i]
+        if methods[0] == "bpdn":
+            method, y_bpdn, solution = calls[i - 1]
+            assert method == "bpdn" and y_bpdn == y
+            assert start is solution
+        else:
+            assert start is None
+    # the depths measure different y, so each start belongs to one depth
+    if methods[0] == "bpdn":
+        assert len({calls[i][1] for i in scaled}) == len(scaled)
+
+
 def test_run_experiments_rejects_mismatched_configs():
     configs = _depth_configs("lloyd-max-quantized")
     with pytest.raises(ValueError):

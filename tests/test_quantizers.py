@@ -74,7 +74,7 @@ def test_lloyd_max_reaches_its_fixed_point_by_increasing_newton_steps(bits, monk
     q = design_lloyd_max(bits, 1.0)
     assert steps and min(steps) > 0.0
     assert np.array_equal(q.thresholds, 0.5 * (q.levels[:-1] + q.levels[1:]))
-    residual = quantizers._centroids(q.thresholds, q.levels) - q.levels
+    residual = quantizers._centroids(q.thresholds) - q.levels
     assert np.abs(residual).max() <= 1e-10
 
 
