@@ -212,7 +212,8 @@ def solve_bpdn(problem: BpdnProblem, start: Optional[np.ndarray] = None) -> Solv
     started solve that ends unconverged is therefore followed by the solve
     from z = 0, whose report is returned with the iterations of both.
     Without a start, or with an all-zero one, the solve starts at z = 0,
-    tau = 0.
+    tau = 0. A start of another length, or with an entry that is not
+    finite, raises ValueError before any product.
     """
     if start is not None:
         start = _as_float_vector(start, "start")

@@ -516,7 +516,6 @@ def test_warm_started_converged_report_is_inside_the_residual_band(
 ):
     # The cold property above, started from the solution at another radius,
     # larger or smaller, so tau moves up or down from the start's l1 norm.
-    # Matrix scales span six decades, as in the cold property.
     rng = np.random.default_rng(seed)
     a, x, y = sparse_instance(rng, n=n, m=m, k=max(1, n // 8), noise_scale=0.05)
     a = 10.0**log_scale * a
