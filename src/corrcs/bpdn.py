@@ -210,7 +210,8 @@ def solve_bpdn(problem: BpdnProblem, start: Optional[np.ndarray] = None) -> Solv
     near the root. converged still promises only the band above. A start
     can also sit where no step descends, as where another solve stopped; a
     started solve that ends unconverged is therefore followed by the solve
-    from z = 0, whose report is returned with the iterations of both.
+    from z = 0, on a budget of its own, whose report is returned with the
+    iterations of both.
     Without a start, or with an all-zero one, the solve starts at z = 0,
     tau = 0. A start of another length, or with an entry that is not
     finite, raises ValueError before any product.
@@ -252,11 +253,12 @@ def _solve_from(problem: BpdnProblem, start: Optional[np.ndarray]) -> SolverRepo
     dec_tol = 1e-4
     max_newton = 200
 
-    x = np.zeros(n)
-    tau = 0.0
-    r = y.copy()
-    matvecs = 1
-    if start is not None:
+    if start is None:
+        x = np.zeros(n)
+        tau = 0.0
+        r = y.copy()
+        matvecs = 1
+    else:
         x = np.array(start)
         tau = float(np.abs(x).sum())
         r = y - a @ x
